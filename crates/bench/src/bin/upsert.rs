@@ -61,11 +61,12 @@ fn main() {
             "delta"
         };
         eprintln!(
-            "upsert: batch {} ({label}): {:.3}s, +{} records, {} pairs scored, {} shards re-blocked",
+            "upsert: batch {} ({label}): {:.3}s, +{} records, {} pairs scored, {} records re-blocked in {} shards",
             batch.index,
             batch.seconds,
             batch.outcome.inserted,
             batch.outcome.pairs_scored,
+            batch.outcome.blocking_affected_records,
             batch.outcome.touched_shards,
         );
         if batch.index > 0 {
@@ -87,6 +88,14 @@ fn main() {
             ("pairs_scored", batch.outcome.pairs_scored.to_json()),
             ("new_predictions", batch.outcome.new_predictions.to_json()),
             ("touched_shards", batch.outcome.touched_shards.to_json()),
+            (
+                "blocking_affected_records",
+                batch.outcome.blocking_affected_records.to_json(),
+            ),
+            (
+                "blocking_flipped_tokens",
+                batch.outcome.blocking_flipped_tokens.to_json(),
+            ),
             (
                 "touched_components",
                 batch.outcome.touched_components.to_json(),

@@ -71,6 +71,17 @@ impl CandidateSet {
         }
     }
 
+    /// Overwrite a pair's provenance bitmask, returning the one it had (0
+    /// if absent). A zero bitmask removes the pair — the in-place edit for
+    /// callers that recompute a pair's flags from their sources.
+    pub fn set_flags(&mut self, pair: RecordPair, flags: u8) -> u8 {
+        if flags == 0 {
+            self.pairs.remove(&pair).unwrap_or(0)
+        } else {
+            self.pairs.insert(pair, flags).unwrap_or(0)
+        }
+    }
+
     /// Union another set into this one, merging provenance on shared pairs.
     /// Blockers running concurrently each fill a private set; the blocking
     /// stage folds them with this.
@@ -242,6 +253,21 @@ mod tests {
         set.add_flags(pair(3, 4), 0); // no provenance -> not stored
         assert_eq!(set.provenance(pair(1, 2)), flags);
         assert_eq!(set.len(), 1);
+    }
+
+    #[test]
+    fn set_flags_overwrites_and_removes() {
+        let mut set = CandidateSet::new();
+        let both = BlockingKind::IdOverlap.flag() | BlockingKind::TokenOverlap.flag();
+        assert_eq!(set.set_flags(pair(1, 2), both), 0);
+        assert_eq!(
+            set.set_flags(pair(1, 2), BlockingKind::IdOverlap.flag()),
+            both
+        );
+        assert!(set.only_from(pair(1, 2), BlockingKind::IdOverlap));
+        assert_eq!(set.set_flags(pair(1, 2), 0), BlockingKind::IdOverlap.flag());
+        assert!(set.is_empty());
+        assert_eq!(set.set_flags(pair(1, 2), 0), 0);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! concurrently on the shared [`WorkerPool`](gralmatch_util::WorkerPool)
 //! carried by the [`BlockingContext`]. Identifier-join blockers advertise
 //! [`Blocker::cross_shard`] so a sharded pipeline can re-run them globally
-//! for boundary candidates.
+//! for boundary candidates; shard-local blockers that can maintain their
+//! candidates under record churn offer a [`ShardIndex`]
+//! ([`Blocker::shard_index`]) the incremental engine edits per batch.
 
 pub mod candidates;
 pub mod id_overlap;
@@ -26,6 +28,7 @@ pub mod issuer_match;
 pub mod recall;
 pub mod sorted_neighborhood;
 pub mod strategy;
+mod token_index;
 pub mod token_overlap;
 
 pub use candidates::{text_only_provenance, BlockingKind, CandidateSet};
@@ -35,6 +38,6 @@ pub use recall::{blocking_quality, blocking_recall_by_kind, BlockingQuality};
 pub use sorted_neighborhood::{SortedNeighborhood, SortedNeighborhoodConfig};
 pub use strategy::{
     run_blocker_refs_traced, run_blockers, run_blockers_traced, Blocker, BlockerRun,
-    BlockingContext,
+    BlockingContext, PairDelta, ShardIndex,
 };
 pub use token_overlap::{TokenOverlap, TokenOverlapConfig};

@@ -18,8 +18,8 @@
 //! universe) stays addressable; blockers emit global record ids.
 
 use crate::candidates::{BlockingKind, CandidateSet};
-use gralmatch_records::Record;
-use gralmatch_util::{Stopwatch, WorkerPool};
+use gralmatch_records::{Record, RecordId, RecordPair};
+use gralmatch_util::{Parallelism, Stopwatch, WorkerPool};
 
 /// Execution context handed to every blocker: the worker pool shared with
 /// the rest of the pipeline run, so parallel blockers (token overlap's
@@ -52,7 +52,9 @@ impl Default for BlockingContext {
 
 /// One blocking strategy over records of type `R`.
 pub trait Blocker<R: Record>: Sync {
-    /// Provenance flag recorded for pairs this blocker proposes.
+    /// Provenance flag recorded for pairs this blocker proposes. The
+    /// shard-local blockers of one lineup must report distinct kinds: the
+    /// incremental engine edits a shard's provenance per kind bit.
     fn kind(&self) -> BlockingKind;
 
     /// Short label for traces and diagnostics.
@@ -71,17 +73,18 @@ pub trait Blocker<R: Record>: Sync {
     fn block(&self, records: &[R], ctx: &BlockingContext, out: &mut CandidateSet);
 
     /// Propose the blocker's **complete** candidate set over
-    /// `standing_records ∪ new_records` — the incremental-upsert entry
-    /// point, called when `new_records` (a delta batch) arrives against an
-    /// already-blocked standing population.
+    /// `standing_records ∪ new_records` — a full recount that sees the
+    /// population as a standing/new split.
     ///
-    /// The contract is exactness, not incrementality: the output must equal
-    /// `block` over the union, because global statistics (document
-    /// frequencies, top-n ranks, degeneracy guards) can re-rank *standing*
-    /// pairs when a delta arrives. Overrides exploit the split to avoid
-    /// materializing a combined record buffer (see
-    /// [`TokenOverlap`](crate::token_overlap::TokenOverlap)); this default
-    /// falls back to a full re-block over a concatenated copy.
+    /// The contract is exactness: the output must equal `block` over the
+    /// union, because global statistics (document frequencies, top-n
+    /// ranks, degeneracy guards) can re-rank *standing* pairs when a delta
+    /// arrives. The incremental engine calls it per batch for shard-local
+    /// blockers that offer no [`shard_index`](Blocker::shard_index), and
+    /// debug builds use it as the oracle a maintained index is asserted
+    /// against. Overrides exploit the split to avoid materializing a
+    /// combined record buffer; this default falls back to a full re-block
+    /// over a concatenated copy.
     fn block_delta(
         &self,
         new_records: &[R],
@@ -96,6 +99,52 @@ pub trait Blocker<R: Record>: Sync {
         combined.extend_from_slice(new_records);
         self.block(&combined, ctx, out);
     }
+
+    /// A fresh, empty [`ShardIndex`] if the blocker can maintain its
+    /// candidates under record churn — the delta-proportional path of the
+    /// incremental engine, which keeps one index per shard across batches
+    /// and edits the shard's candidate set from each [`PairDelta`].
+    /// Blockers that keep the default `None` are re-run per batch through
+    /// [`block_delta`](Blocker::block_delta).
+    fn shard_index(&self) -> Option<Box<dyn ShardIndex<R>>> {
+        None
+    }
+}
+
+/// One blocker's candidate pairs over one shard, maintained in place.
+///
+/// The index is derived state: it starts empty, its first `apply` (all of
+/// the shard's records as `upserted`) is a one-shot block, and after any
+/// sequence of `apply` calls its pair set equals [`Blocker::block`] over
+/// the records it currently holds.
+pub trait ShardIndex<R: Record> {
+    /// Drop the records named in `removed`, insert or replace (by id) the
+    /// `upserted` ones, and return the exact change of the pair set. An id
+    /// in both lists is an update. Parallel steps size their own pools from
+    /// `parallelism` by the work the batch turns out to need.
+    fn apply(
+        &mut self,
+        removed: &[RecordId],
+        upserted: &[&R],
+        parallelism: Parallelism,
+    ) -> PairDelta;
+
+    /// Pairs currently in the set.
+    fn num_pairs(&self) -> usize;
+}
+
+/// The exact change one [`ShardIndex::apply`] made to its pair set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PairDelta {
+    /// Pairs absent before the batch and present after it.
+    pub added: Vec<RecordPair>,
+    /// Pairs present before the batch and absent after it.
+    pub removed: Vec<RecordPair>,
+    /// Records whose candidates were recomputed.
+    pub affected_records: usize,
+    /// Tokens whose holder set changed **and** whose useful/useless status
+    /// (singleton floor, document-frequency cut) flipped with it.
+    pub flipped_tokens: usize,
 }
 
 /// Positional view over `standing ⧺ new` without materializing the

@@ -16,9 +16,14 @@
 //! overlap counting — the blocking stage's hot path on the securities-scale
 //! datasets — runs on the shared worker pool over stealable chunks, each
 //! worker reusing one scratch count map across the records it claims.
+//!
+//! That is the one-shot form, and the oracle. Under record churn the
+//! incremental engine keeps the same structures alive per shard and edits
+//! them in place — see [`Blocker::shard_index`] and `docs/BLOCKING.md`.
 
 use crate::candidates::{BlockingKind, CandidateSet};
-use crate::strategy::{Blocker, BlockingContext, SplitSlice};
+use crate::strategy::{Blocker, BlockingContext, ShardIndex, SplitSlice};
+use crate::token_index::TokenOverlapIndex;
 use gralmatch_records::{Record, RecordId, RecordPair};
 use gralmatch_text::tokenize;
 use gralmatch_util::{FxHashMap, FxHashSet, WorkerPool};
@@ -71,12 +76,14 @@ impl<R: Record + Sync> Blocker<R> for TokenOverlap {
         token_overlap_blocking(&SplitSlice::new(records, &[]), &self.config, &ctx.pool, out);
     }
 
-    /// Token overlap's delta path: the same algorithm over the
-    /// standing/new split without materializing a combined record buffer.
-    /// Exact by construction — document frequencies and per-record top-n
-    /// ranks are **global** properties, so a delta batch can re-rank pairs
-    /// between standing records; anything cheaper than a full recount over
-    /// the union would silently diverge from a one-shot run.
+    /// The same full recount over the standing/new split, without
+    /// materializing a combined record buffer. Document frequencies and
+    /// per-record top-n ranks are properties of the whole population, so a
+    /// delta batch can re-rank pairs between standing records; this recount
+    /// sees them all, which makes it the oracle the maintained
+    /// [`shard_index`](Blocker::shard_index) is checked against (that index
+    /// reaches the same pairs by recomputing only the records whose token
+    /// neighbourhood the batch changed).
     fn block_delta(
         &self,
         new_records: &[R],
@@ -92,6 +99,10 @@ impl<R: Record + Sync> Blocker<R> for TokenOverlap {
             &ctx.pool,
             out,
         );
+    }
+
+    fn shard_index(&self) -> Option<Box<dyn ShardIndex<R>>> {
+        Some(Box::new(TokenOverlapIndex::new(self.config.clone())))
     }
 }
 

@@ -42,7 +42,7 @@
 
 use crate::domain::MatchingDomain;
 use crate::groups::{entity_groups, prediction_graph};
-use crate::incremental::{PipelineState, UpsertBatch, UpsertOutcome};
+use crate::incremental::{BlockingIndex, PipelineState, UpsertBatch, UpsertOutcome};
 use crate::metrics::{group_metrics, pairwise_metrics};
 use crate::persist::{self, CheckpointInfo, CheckpointPolicy, Durability};
 use crate::pipeline::{MatchingOutcome, PipelineConfig};
@@ -405,6 +405,12 @@ pub struct MatchEngine<'a, R: Record + Clone + Sync> {
     /// (the only paths where the cleaned graph changes hands outside the
     /// delta feed).
     cut_index: CutIndex,
+    /// The shard-local blockers' maintained indexes, edited by every
+    /// [`apply_batch`](MatchEngine::apply_batch) so a batch re-blocks the
+    /// token neighbourhood it touched, not its shards. Starts empty here,
+    /// on resume/recovery and on model swap; each shard's entry is built
+    /// by the first batch that touches it (one full block of that shard).
+    blocking_index: BlockingIndex<R>,
 }
 
 impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
@@ -427,6 +433,7 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             total_apply_seconds: 0.0,
             durability: None,
             cut_index: CutIndex::new(),
+            blocking_index: BlockingIndex::default(),
         }
     }
 
@@ -492,6 +499,7 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             total_apply_seconds: 0.0,
             durability: None,
             cut_index,
+            blocking_index: BlockingIndex::default(),
         };
         // Resumed engines serve a full snapshot of the persisted groups
         // from the persisted epoch (0 for JSON-resumed states).
@@ -551,6 +559,7 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             self.provider.scorer(),
             &self.config,
             Some(&mut self.cut_index),
+            Some(&mut self.blocking_index),
         )?;
         let affected = self.index.apply(&self.state, &outcome.changed_nodes);
         self.batches_applied += 1;
@@ -813,8 +822,10 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
         self.provider = provider;
         // Model swaps mark an epoch boundary for every derived structure;
         // the cut index is invalidated and rebuilt from the standing
-        // cleaned graph rather than trusted across the swap.
+        // cleaned graph rather than trusted across the swap, the blocking
+        // index dropped and rebuilt shard by shard on first touch.
         self.cut_index.rebuild_from(self.state.cleaned());
+        self.blocking_index = BlockingIndex::default();
         let (next, buckets_rebuilt) = self.published.load().advance(
             &self.index,
             &[],

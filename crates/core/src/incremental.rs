@@ -12,10 +12,15 @@
 //!    they are near-linear, and their degeneracy guards are *non-monotone*
 //!    (a code crossing [`MAX_CODE_HOLDERS`] retracts standing pairs), so a
 //!    probe-only join could not stay exact. The quadratic text blockers
-//!    re-run **only for touched shards**, through
-//!    [`Blocker::block_delta`] (zero-copy over the shard's standing/new
-//!    split); untouched shards keep their standing candidate sets
-//!    verbatim.
+//!    are shard-local, and a shard-local blocker that offers a maintained
+//!    index ([`Blocker::shard_index`], kept per shard in a
+//!    [`BlockingIndex`]) re-blocks **only the records whose token
+//!    neighbourhood the batch changed**, returning the exact pairs added
+//!    and removed; one that offers none is recounted over each touched
+//!    shard through [`Blocker::block_delta`]. Either way the shard's
+//!    candidate set and the union over all sources are edited from that
+//!    pair delta, provenance bits kept exact; untouched shards keep their
+//!    standing candidate sets verbatim. See `docs/BLOCKING.md`.
 //! 2. **Re-score only new or invalidated pairs.** Every standing candidate
 //!    pair whose endpoints did not change keeps its score; pairs touching
 //!    an updated/deleted record, and pairs the re-block newly proposed,
@@ -45,12 +50,16 @@ use crate::pipeline::PipelineConfig;
 use crate::shard::{MergeStage, ShardKey, ShardPlan};
 use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
-    text_only_provenance, Blocker, BlockerRun, BlockingContext, CandidateSet,
+    text_only_provenance, Blocker, BlockerRun, BlockingContext, CandidateSet, PairDelta, ShardIndex,
 };
 use gralmatch_graph::{CutIndex, Graph};
 use gralmatch_lm::{predict_positive_with, PairScorer};
 use gralmatch_records::{Record, RecordId, RecordPair};
-use gralmatch_util::{Error, FromJson, FxHashMap, FxHashSet, Json, JsonError, Stopwatch, ToJson};
+use gralmatch_util::{
+    Error, FromJson, FxHashMap, FxHashSet, Json, JsonError, Parallelism, Stopwatch, ToJson,
+};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 
 /// One delta batch in the global record-id space.
 ///
@@ -152,8 +161,17 @@ pub struct UpsertOutcome {
     pub updated: usize,
     /// Records deleted.
     pub deleted: usize,
-    /// Shards whose text blocking re-ran.
+    /// Shards holding a record the batch added, changed or removed.
     pub touched_shards: usize,
+    /// Records whose shard-local candidates were recomputed: the affected
+    /// sets of the maintained indexes, plus every record of a shard that
+    /// was recounted in full (an index's first touch, a blocker that keeps
+    /// none). Exact and deterministic — the measure of "delta-proportional".
+    pub blocking_affected_records: usize,
+    /// Tokens whose holder set changed and whose useful/useless status
+    /// (singleton floor, document-frequency cut) flipped with it, summed
+    /// over the maintained indexes.
+    pub blocking_flipped_tokens: usize,
     /// Candidate pairs sent to the scorer (new or invalidated).
     pub pairs_scored: usize,
     /// Positive predictions gained this batch.
@@ -219,6 +237,59 @@ pub struct PipelineState<R> {
     /// Standing cleaned prediction graph (per-component cleanup of
     /// `predicted`).
     cleaned: Graph,
+}
+
+/// The shard-local blockers' maintained indexes, one per (shard, recipe):
+/// derived state a [`PipelineState`] is re-blocked through, owned across
+/// batches by whoever owns the state (the engine). Never persisted — an
+/// entry is built the first time a batch touches its shard, at the cost of
+/// one full block of that shard.
+pub struct BlockingIndex<R> {
+    /// (shard, position of the blocker in the lineup) → its index.
+    shards: FxHashMap<(u32, usize), Box<dyn ShardIndex<R>>>,
+}
+
+impl<R> Default for BlockingIndex<R> {
+    fn default() -> Self {
+        BlockingIndex {
+            shards: FxHashMap::default(),
+        }
+    }
+}
+
+/// One batch's record edits within one shard.
+#[derive(Default)]
+struct ShardDelta {
+    removed: Vec<RecordId>,
+    added: Vec<RecordId>,
+}
+
+/// A shard-local blocker's complete sorted pair list over a shard, by full
+/// recount ([`Blocker::block_delta`], which wants owned slices).
+fn recount<R: Record + Clone>(
+    blocker: &dyn Blocker<R>,
+    new: &[&R],
+    standing: &[&R],
+    parallelism: Parallelism,
+) -> Vec<RecordPair> {
+    let owned = |records: &[&R]| records.iter().map(|&r| r.clone()).collect::<Vec<R>>();
+    let ctx = BlockingContext::with_pool(parallelism.pool_for(new.len() + standing.len()));
+    let mut set = CandidateSet::new();
+    blocker.block_delta(&owned(new), &owned(standing), &ctx, &mut set);
+    set.pairs_sorted()
+}
+
+/// Turn a blocker's complete pair list over a shard (`full.added`, sorted)
+/// into the change against the pairs `local` credits to `flag`.
+fn diff_against(local: &CandidateSet, flag: u8, mut full: PairDelta) -> PairDelta {
+    full.removed = local
+        .iter()
+        .filter(|&(pair, flags)| flags & flag != 0 && full.added.binary_search(&pair).is_err())
+        .map(|(pair, _)| pair)
+        .collect();
+    full.added
+        .retain(|&pair| local.provenance(pair) & flag == 0);
+    full
 }
 
 /// The persisted components of a [`PipelineState`], as both the JSON and
@@ -513,6 +584,45 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         Ok(())
     }
 
+    /// Debug-build oracle: every touched shard's maintained pair set, per
+    /// shard-local blocker, equals a full recount over the shard's records,
+    /// and the edited union equals a re-merge of its sources.
+    fn assert_blocking_matches_recount(
+        &self,
+        local_blockers: &[(usize, &dyn Blocker<R>)],
+        shard_records: &FxHashMap<u32, (Vec<&R>, Vec<&R>)>,
+    ) {
+        for (&shard, (standing, new)) in shard_records {
+            for &(_, blocker) in local_blockers {
+                let flag = blocker.kind().flag();
+                let mut maintained: Vec<RecordPair> = self.local[shard as usize]
+                    .iter()
+                    .filter(|&(_, flags)| flags & flag != 0)
+                    .map(|(pair, _)| pair)
+                    .collect();
+                maintained.sort_unstable();
+                assert_eq!(
+                    maintained,
+                    recount(blocker, new, standing, Parallelism::Fixed(1)),
+                    "shard {shard}: maintained {} candidates diverged from block_delta",
+                    blocker.name()
+                );
+            }
+        }
+        let mut union = self.global.clone();
+        for local in &self.local {
+            union.merge(local);
+        }
+        assert_eq!(union.len(), self.candidates.len(), "candidate union size");
+        for (pair, flags) in union.iter() {
+            assert_eq!(
+                self.candidates.provenance(pair),
+                flags,
+                "provenance of {pair:?}"
+            );
+        }
+    }
+
     /// Apply one delta batch: re-block touched shards, re-score new and
     /// invalidated pairs, reconcile into the standing groups. See the
     /// module docs for the exactness argument.
@@ -523,7 +633,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         scorer: &dyn PairScorer,
         config: &PipelineConfig,
     ) -> Result<UpsertOutcome, Error> {
-        self.apply_with_index(batch, strategies, scorer, config, None)
+        self.apply_with_index(batch, strategies, scorer, config, None, None)
     }
 
     /// [`apply`](PipelineState::apply) with an optional persistent
@@ -534,6 +644,12 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
     /// caller (the engine) owns the index across batches and must rebuild
     /// it whenever the cleaned graph changes outside `apply` (model swap,
     /// recovery).
+    ///
+    /// `blocking` is the same arrangement for step 2: with a
+    /// [`BlockingIndex`] kept across batches, a touched shard is re-blocked
+    /// through its maintained indexes in O(touched neighbourhood); without
+    /// one (or on a shard's first touch) it costs one full block. The
+    /// index must only ever see this state's batches, under one lineup.
     pub fn apply_with_index(
         &mut self,
         batch: &UpsertBatch<R>,
@@ -541,90 +657,204 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         scorer: &dyn PairScorer,
         config: &PipelineConfig,
         index: Option<&mut CutIndex>,
+        blocking: Option<&mut BlockingIndex<R>>,
     ) -> Result<UpsertOutcome, Error> {
         // -- 1. Validate + apply the record mutations. ---------------------
         self.validate(batch)?;
+        // Provenance is edited per kind bit, so two shard-local recipes
+        // must not share one.
+        let mut local_flags = 0u8;
+        for blocker in strategies.iter().filter(|b| !b.cross_shard()) {
+            let flag = blocker.kind().flag();
+            if local_flags & flag != 0 {
+                return Err(Error::InvalidConfig(format!(
+                    "two shard-local blockers report kind {:?}",
+                    blocker.kind()
+                )));
+            }
+            local_flags |= flag;
+        }
 
         let mut dirty: FxHashSet<u32> = FxHashSet::default();
-        let mut touched_shards: FxHashSet<u32> = FxHashSet::default();
-        let mut added_ids: FxHashSet<u32> = FxHashSet::default();
+        // Shard → the batch's record edits there. An update lands in its
+        // old shard as a removal and in its new one as an addition (both
+        // in one shard when it does not move).
+        let mut deltas: BTreeMap<u32, ShardDelta> = BTreeMap::new();
         for &id in &batch.deletes {
-            touched_shards.insert(self.remove_record(id.0));
+            let shard = self.remove_record(id.0);
+            deltas.entry(shard).or_default().removed.push(id);
             dirty.insert(id.0);
         }
-        for record in &batch.updates {
-            let id = record.id().0;
-            touched_shards.insert(self.remove_record(id));
-            touched_shards.insert(self.add_record(record.clone()));
-            dirty.insert(id);
-            added_ids.insert(id);
-        }
-        for record in &batch.inserts {
-            let id = record.id().0;
-            touched_shards.insert(self.add_record(record.clone()));
-            dirty.insert(id);
-            added_ids.insert(id);
+        for record in batch.updates.iter().chain(&batch.inserts) {
+            let id = record.id();
+            if self.is_live(id) {
+                let shard = self.remove_record(id.0);
+                deltas.entry(shard).or_default().removed.push(id);
+            }
+            let shard = self.add_record(record.clone());
+            deltas.entry(shard).or_default().added.push(id);
+            dirty.insert(id.0);
         }
 
-        // -- 2. Re-block: global hash joins + touched shards' text recipes.
+        // -- 2. Re-block: global hash joins + the touched shards' deltas. --
         let blocking_watch = Stopwatch::start();
-        let pool = config.parallelism.pool_for(self.records.len());
-        let ctx = BlockingContext::with_pool(pool);
+        let mut scratch_index = BlockingIndex::default();
+        let blocking = blocking.unwrap_or(&mut scratch_index);
         let mut blocker_runs: Vec<BlockerRun> = Vec::new();
+        // Every pair whose provenance this batch may have changed; the
+        // union is edited from these alone.
+        let mut changed: Vec<RecordPair> = Vec::new();
 
         // Independent hash joins run concurrently on the shared pool,
-        // through the same dispatch `run_sharded` uses for this subset.
+        // through the same dispatch `run_sharded` uses for this subset. A
+        // lineup without one (companies, products) has no global set.
         let cross_blockers: Vec<&dyn Blocker<R>> = strategies
             .iter()
             .filter(|b| b.cross_shard())
             .map(|b| b.as_ref())
             .collect();
-        let (global, global_runs) =
-            gralmatch_blocking::run_blocker_refs_traced(&self.records, &cross_blockers, &ctx);
-        for run in global_runs {
-            BlockerRun::accumulate(&mut blocker_runs, run);
+        if !cross_blockers.is_empty() {
+            let ctx = BlockingContext::with_pool(config.parallelism.pool_for(self.records.len()));
+            let (global, global_runs) =
+                gralmatch_blocking::run_blocker_refs_traced(&self.records, &cross_blockers, &ctx);
+            for run in global_runs {
+                BlockerRun::accumulate(&mut blocker_runs, run);
+            }
+            changed.extend(
+                self.global
+                    .iter()
+                    .filter(|&(pair, flags)| global.provenance(pair) != flags)
+                    .map(|(pair, _)| pair),
+            );
+            changed.extend(
+                global
+                    .iter()
+                    .map(|(pair, _)| pair)
+                    .filter(|&pair| !self.global.contains(pair)),
+            );
+            self.global = global;
         }
-        self.global = global;
 
-        // Collect each touched shard's records once, split standing/new.
-        let mut standing_of: FxHashMap<u32, Vec<R>> = FxHashMap::default();
-        let mut new_of: FxHashMap<u32, Vec<R>> = FxHashMap::default();
-        for record in &self.records {
-            let id = record.id().0;
-            let shard = self.shard_of[&id];
-            if !touched_shards.contains(&shard) {
-                continue;
-            }
-            if added_ids.contains(&id) {
-                new_of.entry(shard).or_default().push(record.clone());
-            } else {
-                standing_of.entry(shard).or_default().push(record.clone());
+        // A touched shard's full record list (standing, new) is needed
+        // only where something recounts from scratch: an index not built
+        // yet, a blocker that keeps none, the debug cross-check.
+        let local_blockers: Vec<(usize, &dyn Blocker<R>)> = strategies
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.cross_shard())
+            .map(|(position, b)| (position, b.as_ref()))
+            .collect();
+        let recounted: FxHashSet<u32> = deltas
+            .keys()
+            .copied()
+            .filter(|&shard| {
+                cfg!(debug_assertions)
+                    || local_blockers
+                        .iter()
+                        .any(|&(position, _)| !blocking.shards.contains_key(&(shard, position)))
+            })
+            .collect();
+        let mut shard_records: FxHashMap<u32, (Vec<&R>, Vec<&R>)> = FxHashMap::default();
+        if !recounted.is_empty() {
+            let added_ids: FxHashSet<RecordId> = deltas
+                .values()
+                .flat_map(|delta| &delta.added)
+                .copied()
+                .collect();
+            for record in &self.records {
+                let id = record.id().0;
+                let shard = self.shard_of[&id];
+                if recounted.contains(&shard) {
+                    let (standing, new) = shard_records.entry(shard).or_default();
+                    if added_ids.contains(&record.id()) {
+                        new.push(record);
+                    } else {
+                        standing.push(record);
+                    }
+                }
             }
         }
-        for &shard in &touched_shards {
-            let standing = standing_of.remove(&shard).unwrap_or_default();
-            let new = new_of.remove(&shard).unwrap_or_default();
-            let mut set = CandidateSet::new();
-            for blocker in strategies.iter().filter(|b| !b.cross_shard()) {
+
+        let mut blocking_affected_records = 0;
+        let mut blocking_flipped_tokens = 0;
+        for (&shard, delta) in &deltas {
+            let local = &mut self.local[shard as usize];
+            for &(position, blocker) in &local_blockers {
                 let watch = Stopwatch::start();
-                let mut recipe_set = CandidateSet::new();
-                blocker.block_delta(&new, &standing, &ctx, &mut recipe_set);
+                let flag = blocker.kind().flag();
+                let (pairs, candidates) = match blocking.shards.entry((shard, position)) {
+                    Entry::Occupied(mut entry) => {
+                        let added: Vec<&R> = delta
+                            .added
+                            .iter()
+                            .map(|id| &self.records[self.index_of[&id.0] as usize])
+                            .collect();
+                        let index = entry.get_mut();
+                        let pairs = index.apply(&delta.removed, &added, config.parallelism);
+                        (pairs, index.num_pairs())
+                    }
+                    // First touch since the engine started (or resumed):
+                    // one full block of the shard, diffed against the
+                    // standing set, leaves a warm index behind.
+                    Entry::Vacant(entry) => {
+                        let (standing, new) = shard_records
+                            .get(&shard)
+                            .map_or((&[][..], &[][..]), |(s, n)| (&s[..], &n[..]));
+                        let full = match blocker.shard_index() {
+                            Some(mut index) => {
+                                let all: Vec<&R> = standing.iter().chain(new).copied().collect();
+                                let built = index.apply(&[], &all, config.parallelism);
+                                entry.insert(index);
+                                built
+                            }
+                            None => PairDelta {
+                                added: recount(blocker, new, standing, config.parallelism),
+                                affected_records: standing.len() + new.len(),
+                                ..PairDelta::default()
+                            },
+                        };
+                        let candidates = full.added.len();
+                        (diff_against(local, flag, full), candidates)
+                    }
+                };
+                for &pair in &pairs.removed {
+                    local.set_flags(pair, local.provenance(pair) & !flag);
+                }
+                for &pair in &pairs.added {
+                    local.add_flags(pair, flag);
+                }
+                blocking_affected_records += pairs.affected_records;
+                blocking_flipped_tokens += pairs.flipped_tokens;
+                changed.extend(pairs.removed);
+                changed.extend(pairs.added);
                 BlockerRun::accumulate(
                     &mut blocker_runs,
                     BlockerRun {
                         name: blocker.name(),
-                        candidates: recipe_set.len(),
+                        candidates,
                         seconds: watch.elapsed_secs(),
                     },
                 );
-                set.merge(&recipe_set);
             }
-            self.local[shard as usize] = set;
         }
 
-        let mut candidates_now = self.global.clone();
-        for local in &self.local {
-            candidates_now.merge(local);
+        // Edit the union in place: a changed pair's provenance is the OR of
+        // its sources (a local pair lives in its endpoints' common shard).
+        changed.sort_unstable();
+        changed.dedup();
+        let mut fresh: Vec<RecordPair> = Vec::new();
+        for pair in changed {
+            let local_flags = self
+                .shard_of
+                .get(&pair.a.0)
+                .map_or(0, |&shard| self.local[shard as usize].provenance(pair));
+            let flags = self.global.provenance(pair) | local_flags;
+            if self.candidates.set_flags(pair, flags) == 0 && flags != 0 {
+                fresh.push(pair);
+            }
+        }
+        if cfg!(debug_assertions) {
+            self.assert_blocking_matches_recount(&local_blockers, &shard_records);
         }
         let blocking_seconds = blocking_watch.elapsed_secs();
 
@@ -632,10 +862,12 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         let inference_watch = Stopwatch::start();
         let untouched =
             |pair: &RecordPair| !dirty.contains(&pair.a.0) && !dirty.contains(&pair.b.0);
-        let mut to_score: Vec<RecordPair> = candidates_now
+        let mut to_score: Vec<RecordPair> = self
+            .candidates
             .iter()
             .map(|(pair, _)| pair)
-            .filter(|pair| !(self.candidates.contains(*pair) && untouched(pair)))
+            .filter(|pair| !untouched(pair))
+            .chain(fresh.into_iter().filter(untouched))
             .collect();
         to_score.sort_unstable();
         let scoring_pool = config.parallelism.pool_for(to_score.len());
@@ -650,7 +882,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         let mut dirty_nodes: FxHashSet<u32> = dirty.clone();
         let mut retracted = 0usize;
         for &pair in &self.predicted {
-            if untouched(&pair) && candidates_now.contains(pair) {
+            if untouched(&pair) && self.candidates.contains(pair) {
                 persisting.push(pair);
             } else {
                 retracted += 1;
@@ -664,7 +896,8 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         let merge_watch = Stopwatch::start();
         let is_removable = |a: u32, b: u32| {
             text_only_provenance(
-                candidates_now.provenance(RecordPair::new(RecordId(a), RecordId(b))),
+                self.candidates
+                    .provenance(RecordPair::new(RecordId(a), RecordId(b))),
             )
         };
         let merge = MergeStage::new(config).merge_with_index(
@@ -684,7 +917,6 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         let changed_nodes = merge.touched_nodes;
         self.predicted = predicted_now;
         self.cleaned = merge.graph;
-        self.candidates = candidates_now;
         let groups = self.groups();
         let merge_seconds = merge_watch.elapsed_secs();
 
@@ -730,7 +962,9 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             inserted: batch.inserts.len(),
             updated: batch.updates.len(),
             deleted: batch.deletes.len(),
-            touched_shards: touched_shards.len(),
+            touched_shards: deltas.len(),
+            blocking_affected_records,
+            blocking_flipped_tokens,
             pairs_scored: to_score.len(),
             new_predictions: new_prediction_count,
             retracted_predictions: retracted,

@@ -21,8 +21,8 @@
 //! instances with the seed in every assertion message.
 
 use gralmatch::core::{
-    graph_cleanup, graph_cleanup_with_index, run_sharded, CleanupConfig, CompanyDomain,
-    MatchingDomain, PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
+    graph_cleanup, graph_cleanup_with_index, run_sharded, BlockingIndex, CleanupConfig,
+    CompanyDomain, MatchingDomain, PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
 };
 use gralmatch::datagen::{hub_companies, hub_interior_churn_updates, HubConfig};
 use gralmatch::graph::{connected_components, cut_structure, CutIndex, Edge, Graph, Subgraph};
@@ -235,9 +235,10 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
     // representative — clique edges are *retracted* and the surviving
     // rep edges become bridges created by deletion — then restore them a
     // batch later. The replay drives `apply_with_index` with a warm
-    // CutIndex (the engine's configuration), so every delta flows through
-    // insert_edge/remove_edge maintenance; the final groups must equal a
-    // one-shot sharded run over the final records.
+    // CutIndex and a kept BlockingIndex (the engine's configuration), so
+    // every delta flows through insert_edge/remove_edge maintenance and
+    // every re-block through the maintained shard indexes; the final
+    // groups must equal a one-shot sharded run over the final records.
     let config = HubConfig {
         hubs: 2,
         groups_per_hub: 12,
@@ -283,6 +284,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
     .unwrap();
     let mut index = CutIndex::new();
     index.rebuild_from(state.cleaned());
+    let mut blocking = BlockingIndex::default();
 
     let mut final_records = companies.clone();
     for batch in 0..config.churn_batches {
@@ -302,6 +304,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
                 &CompiledScorer::new(&matcher, &compiled),
                 &pipeline_config,
                 Some(&mut index),
+                Some(&mut blocking),
             )
             .unwrap_or_else(|e| panic!("interior churn batch {batch}: {e:?}"));
     }
@@ -331,6 +334,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
             &CompiledScorer::new(&matcher, &compiled),
             &pipeline_config,
             Some(&mut index),
+            Some(&mut blocking),
         )
         .unwrap_or_else(|e| panic!("restore batch: {e:?}"));
     let last_groups = outcome.groups;

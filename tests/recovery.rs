@@ -401,3 +401,93 @@ fn flipped_snapshot_byte_is_refused_as_corrupt() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The blocking index is derived state and never persisted: a recovered
+/// engine starts without one, rebuilds each shard's entry the first time a
+/// batch touches it (one full recount of that shard), and from then on
+/// re-blocks by delta like the engine that never stopped — holding the same
+/// candidates, with the same provenance, after every further batch.
+#[test]
+fn recovered_engine_rebuilds_its_blocking_index_on_first_touch() {
+    let data = dataset(83);
+    let records = data.securities.records();
+    let config = PipelineConfig::new(25, 5);
+    let initial = records.len() * 3 / 5;
+    let mut batches = batch_sequence(records, initial, 4);
+    // First after the recovery: a one-record rename, which a warm index
+    // answers from the record's token neighbourhood and a fresh one by
+    // recounting the record's shard.
+    let mut renamed = records[0].clone();
+    renamed.name.push_str(" Requalified");
+    batches.insert(
+        2,
+        UpsertBatch {
+            updates: vec![renamed],
+            ..UpsertBatch::new()
+        },
+    );
+
+    let bootstrap = || {
+        MatchEngine::bootstrap(
+            ShardPlan::new(2),
+            records[..initial].to_vec(),
+            security_lineup(),
+            scorer_provider::<SecurityRecord>(None),
+            config.clone(),
+        )
+        .expect("bootstrap")
+        .0
+    };
+    let mut oracle = bootstrap();
+    let dir = scratch_dir("reblock");
+    let snapshot_path = dir.join("state.bin");
+    {
+        let mut durable = bootstrap();
+        durable
+            .enable_durability(&snapshot_path, CheckpointPolicy::default())
+            .expect("enable durability");
+        for batch in &batches[..2] {
+            oracle.apply_batch(batch).expect("oracle batch applies");
+            durable.apply_batch(batch).expect("durable batch applies");
+        }
+        // Checkpoint, so recovery replays nothing and the first batch
+        // after it is the index's first touch.
+        durable.checkpoint().expect("checkpoint");
+    }
+    let (mut recovered, report) = recover_securities(&snapshot_path).expect("recovery succeeds");
+    assert_eq!(report.batches_replayed, 0);
+
+    let mut affected = Vec::new();
+    for (j, batch) in batches.iter().enumerate().skip(2) {
+        let expected = oracle.apply_batch(batch).expect("oracle batch applies");
+        let outcome = recovered
+            .apply_batch(batch)
+            .expect("post-recovery batch applies");
+        affected.push((
+            outcome.blocking_affected_records,
+            expected.blocking_affected_records,
+        ));
+        let (standing, reference) = (recovered.state().candidates(), oracle.state().candidates());
+        assert_eq!(
+            standing.pairs_sorted(),
+            reference.pairs_sorted(),
+            "batch {j}: candidate pairs"
+        );
+        for (pair, flags) in reference.iter() {
+            assert_eq!(standing.provenance(pair), flags, "batch {j}: {pair:?}");
+        }
+        assert_eq!(recovered.state().predicted(), oracle.state().predicted());
+        assert_eq!(
+            normalize(&recovered.groups()),
+            normalize(&oracle.groups()),
+            "batch {j}: groups"
+        );
+    }
+    let (first, last) = (affected[0], affected[affected.len() - 1]);
+    assert!(
+        first.0 > first.1,
+        "first touch after recovery recounts whole shards: {first:?}"
+    );
+    assert_eq!(last.0, last.1, "both indexes warm by the last batch");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -45,7 +45,7 @@
 
 use gralmatch_bench::cli::BenchCli;
 use gralmatch_bench::harness::{prepare_synthetic, Scale};
-use gralmatch_bench::net::serve_tcp;
+use gralmatch_bench::net::{serve_tcp, LineClient};
 use gralmatch_bench::serve::{
     bootstrap_tenant, fingerprint_path, latency_line, load_batch_json, resume_tenant_named,
     resume_tenant_named_binary, save_batch, HostSession, ServeDomain,
@@ -57,8 +57,8 @@ use gralmatch_core::{
 use gralmatch_datagen::{generate_wdc, WdcConfig};
 use gralmatch_lm::SavedModel;
 use gralmatch_records::{CompanyRecord, ProductRecord, SecurityRecord};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufRead;
+use std::net::TcpListener;
 use std::path::Path;
 
 fn load_model(path: Option<&str>) -> Option<SavedModel> {
@@ -383,9 +383,7 @@ fn run(cli: &BenchCli) {
 /// at the end — one process, end-to-end over the wire (CI's
 /// tenant-smoke).
 fn run_client_script(addr: std::net::SocketAddr, script: &str) {
-    let stream = TcpStream::connect(addr).expect("connect to own listener");
-    let mut writer = stream.try_clone().expect("clone client stream");
-    let mut reader = BufReader::new(stream);
+    let mut client = LineClient::connect(addr).expect("connect to own listener");
     let mut lines: Vec<&str> = script
         .lines()
         .map(str::trim)
@@ -395,10 +393,8 @@ fn run_client_script(addr: std::net::SocketAddr, script: &str) {
         lines.push("shutdown");
     }
     for line in lines {
-        writeln!(writer, "{line}").expect("send request line");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read response line");
-        println!("{line} → {}", response.trim_end());
+        let response = client.request(line).expect("request round trip");
+        println!("{line} → {response}");
     }
 }
 

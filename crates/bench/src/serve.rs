@@ -271,6 +271,9 @@ pub enum ErrorCode {
     Io,
     /// The single writer is gone (server shutting down).
     WriterGone,
+    /// A request line over TCP exceeded the fixed maximum length; the
+    /// connection is closed after this error.
+    LineTooLong,
 }
 
 impl ErrorCode {
@@ -288,6 +291,7 @@ impl ErrorCode {
             ErrorCode::NotDurable => "not-durable",
             ErrorCode::Io => "io",
             ErrorCode::WriterGone => "writer-gone",
+            ErrorCode::LineTooLong => "line-too-long",
         }
     }
 }

@@ -43,7 +43,7 @@ fn figure3() {
     println!("=== Figure 3: transitive matches ===");
     // Records #11, #21, #33, #41; pairwise chain (#11-#21), (#21-#33), (#33-#41).
     let predicted = [pair(11, 21), pair(21, 33), pair(33, 41)];
-    let graph = prediction_graph(42, &predicted);
+    let graph = prediction_graph(42, predicted);
     let components = connected_components(&graph);
     let group = components
         .iter()

@@ -43,7 +43,7 @@ use gralmatch_core::{
     CleanupConfig, CleanupReport,
 };
 use gralmatch_datagen::{hub_graph, hub_steady_schedule, HubConfig, HubGraph, SteadyBatch};
-use gralmatch_graph::{largest_component, CutIndex, Edge, Graph};
+use gralmatch_graph::{connected_components, largest_component, CutIndex, Edge, Graph};
 use gralmatch_util::{Json, Parallelism, Stopwatch, ToJson, WorkerPool};
 
 /// One implementation's run over the bootstrap + churn protocol.
@@ -134,7 +134,8 @@ fn run_steady(
         let mut index = CutIndex::new();
         if indexed {
             index.rebuild_from(&graph);
-            graph_cleanup_with_index(&mut graph, config, &mut index);
+            let components = connected_components(&graph);
+            graph_cleanup_with_index(&mut graph, &components, config, &mut index);
         } else {
             graph_cleanup(&mut graph, config);
         }
@@ -151,7 +152,8 @@ fn run_steady(
             }
             let watch = Stopwatch::start();
             let batch_report = if indexed {
-                graph_cleanup_with_index(&mut graph, config, &mut index)
+                let components = connected_components(&graph);
+                graph_cleanup_with_index(&mut graph, &components, config, &mut index)
             } else {
                 graph_cleanup(&mut graph, config)
             };

@@ -62,6 +62,7 @@ pub fn stage_trace_json(stage: &gralmatch_core::StageTrace) -> gralmatch_util::J
                     (phases.bridge_cache_hits as f64).to_json(),
                 ),
                 ("rescanned_nodes", (phases.rescanned_nodes as f64).to_json()),
+                ("heals", (phases.heals as f64).to_json()),
             ]),
         ));
     }
@@ -307,13 +308,11 @@ where
 
     let remainder = &records[initial..];
     let chunk = remainder.len().div_ceil(num_batches.max(1)).max(1);
-    let mut groups = Vec::new();
     for (index, slice) in remainder.chunks(chunk).enumerate() {
         let watch = gralmatch_util::Stopwatch::start();
         let outcome = engine
             .apply_batch(&UpsertBatch::inserting(slice.to_vec()))
             .expect("delta batch succeeds");
-        groups = outcome.groups.clone();
         batches.push(ReplayBatch {
             index: index + 1,
             outcome,
@@ -321,6 +320,7 @@ where
         });
     }
     let final_stats = engine.stats();
+    let groups = engine.groups();
 
     // The comparison run goes through the *legacy staged oracle* with an
     // independently built scorer view (`verify_scorer`), so the check

@@ -238,7 +238,7 @@ pub fn latency_line(outcome: &UpsertOutcome, seconds: f64) -> String {
         outcome.pairs_scored,
         stage(stage_names::MERGE),
         outcome.touched_components,
-        outcome.groups.len(),
+        outcome.num_groups,
     )
 }
 
@@ -932,6 +932,45 @@ mod tests {
             let members = resumed.group_members(root).unwrap();
             assert!(!members.contains(&victim), "lookup still sees deleted id");
         }
+    }
+
+    #[test]
+    fn latency_line_counts_live_groups_in_the_unchanged_wire_text() {
+        let records = securities();
+        let (mut tenant, _) =
+            bootstrap_tenant::<SecurityRecord>(records, ShardPlan::new(2), None).unwrap();
+        // Deleted ids stay in the id space as dead singletons: they are
+        // not groups, in the engine's count or in the state's.
+        let victims: Vec<RecordId> = tenant
+            .engine()
+            .groups()
+            .into_iter()
+            .find(|group| group.len() > 1)
+            .expect("some multi-record group");
+        let (mut outcome, _) = tenant
+            .apply(&UpsertBatch {
+                deletes: victims.clone(),
+                ..UpsertBatch::new()
+            })
+            .unwrap();
+        let groups = tenant.engine().state().groups().len();
+        assert_eq!(outcome.num_groups, groups);
+        assert_eq!(outcome.num_groups, tenant.engine().groups().len());
+
+        // The reply text clients parse, byte for byte (timings zeroed).
+        for stage in &mut outcome.trace.stages {
+            stage.seconds = 0.0;
+        }
+        assert_eq!(
+            latency_line(&outcome, 0.25),
+            format!(
+                "applied +0~0-{} in 0.2500s (blocking 0.0000s, inference 0.0000s over {} pairs, \
+                 merge 0.0000s, {} components re-cleaned) → {groups} groups",
+                victims.len(),
+                outcome.pairs_scored,
+                outcome.touched_components,
+            )
+        );
     }
 
     #[test]

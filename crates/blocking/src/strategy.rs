@@ -120,8 +120,10 @@ pub trait Blocker<R: Record>: Sync {
 pub trait ShardIndex<R: Record> {
     /// Drop the records named in `removed`, insert or replace (by id) the
     /// `upserted` ones, and return the exact change of the pair set. An id
-    /// in both lists is an update. Parallel steps size their own pools from
-    /// `parallelism` by the work the batch turns out to need.
+    /// in both lists is an update. Parallel steps size their pools from
+    /// `parallelism` by the batch's record count (its distinct ids),
+    /// never by the standing population or the neighbourhood the batch
+    /// reaches.
     fn apply(
         &mut self,
         removed: &[RecordId],

@@ -324,12 +324,15 @@ impl<R: Record + Sync> ShardIndex<R> for TokenOverlapIndex {
         }
 
         // -- 3. One recompute pass, then the pair delta. --------------------
+        // The pool is sized by the batch, not by the affected set: a delta
+        // batch stays on the writer's core however many neighbours it
+        // reaches; a first full block (every record upserted) fans out.
         let index = &*self;
-        let new_picks: Vec<Vec<u32>> = parallelism.pool_for(affected.len()).map_init(
-            &affected,
-            FxHashMap::default,
-            |counts, &slot| index.rank(slot, counts),
-        );
+        let pool = parallelism.pool_for(upserted.len() + gone.len());
+        let new_picks: Vec<Vec<u32>> =
+            pool.map_init(&affected, FxHashMap::default, |counts, &slot| {
+                index.rank(slot, counts)
+            });
         // A pair is present while either endpoint picks the other. Newly
         // picked pairs are judged against the other side's *old* picks,
         // dropped ones (below) against its *new* picks.

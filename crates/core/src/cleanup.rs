@@ -129,6 +129,10 @@ pub struct CleanupReport {
     /// Nodes the [`CutIndex`] had to Tarjan-rescan (dirty blocks plus
     /// cold/invalidated regions; 0 on the non-indexed path).
     pub rescanned_nodes: usize,
+    /// Region rescans the [`CutIndex`] needed that no fed delta explains
+    /// ([`CutIndexStats::heals`](gralmatch_graph::CutIndexStats::heals));
+    /// 0 under a complete delta feed and on the non-indexed path.
+    pub heals: usize,
 }
 
 impl CleanupReport {
@@ -147,6 +151,7 @@ impl CleanupReport {
         self.betweenness_seconds += other.betweenness_seconds;
         self.bridge_cache_hits += other.bridge_cache_hits;
         self.rescanned_nodes += other.rescanned_nodes;
+        self.heals += other.heals;
     }
 
     /// The per-phase timing split, in the shape trace consumers expect.
@@ -157,6 +162,7 @@ impl CleanupReport {
             betweenness_seconds: self.betweenness_seconds,
             bridge_cache_hits: self.bridge_cache_hits,
             rescanned_nodes: self.rescanned_nodes,
+            heals: self.heals,
         }
     }
 }
@@ -174,23 +180,27 @@ pub fn pre_cleanup(
     threshold: usize,
     is_removable: impl Fn(u32, u32) -> bool,
 ) -> usize {
-    pre_cleanup_edges(graph, threshold, is_removable).len()
+    let components = connected_components(graph);
+    pre_cleanup_edges(graph, &components, threshold, is_removable).len()
 }
 
-/// [`pre_cleanup`], returning the removed edges themselves — callers
-/// maintaining a [`CutIndex`] over the graph feed them in as deltas.
+/// [`pre_cleanup`] over the given connected components of `graph` only,
+/// returning the removed edges themselves — callers maintaining a
+/// [`CutIndex`] over the graph feed them in as deltas. Components left
+/// out must already be pre-cleaned (the incremental merge passes just the
+/// components a batch rebuilt).
 pub fn pre_cleanup_edges(
     graph: &mut Graph,
+    components: &[Vec<u32>],
     threshold: usize,
     is_removable: impl Fn(u32, u32) -> bool,
 ) -> Vec<Edge> {
-    let components = connected_components(graph);
     let mut to_remove: Vec<Edge> = Vec::new();
     for component in components {
         if component.len() <= threshold {
             continue;
         }
-        for &a in &component {
+        for &a in component {
             for b in graph.neighbors(a) {
                 if a < b && is_removable(a, b) {
                     to_remove.push(Edge::new(a, b));
@@ -365,9 +375,10 @@ fn cleanup_component_indexed(
         scratch.add_edge(a, b);
     }
 
-    let rescans_before = index.stats.rescanned_nodes;
+    let before = index.stats;
     let structure = index.structure_for(&sub, component);
-    report.rescanned_nodes = index.stats.rescanned_nodes - rescans_before;
+    report.rescanned_nodes = index.stats.rescanned_nodes - before.rescanned_nodes;
+    report.heals = index.stats.heals - before.heals;
     let block_of = structure.block_of;
     let num_blocks = structure.num_blocks as usize;
 
@@ -581,9 +592,13 @@ fn cleanup_component_indexed(
     ComponentOutcome { removed, report }
 }
 
-/// Run Algorithm 1 in place like [`graph_cleanup_with_pool`], consulting
-/// (and maintaining) a persistent [`CutIndex`] so steady-state churn pays
-/// O(affected region) instead of re-scanning every dirty component.
+/// Run Algorithm 1 in place like [`graph_cleanup_with_pool`] over the
+/// given connected components of `graph` (sorted members each),
+/// consulting (and maintaining) a persistent [`CutIndex`] so steady-state
+/// churn pays O(affected region) instead of re-scanning every dirty
+/// component. Components left out must already be clean; the incremental
+/// merge passes just the components a batch rebuilt, a whole-graph caller
+/// passes [`connected_components`].
 ///
 /// The caller owns the index across calls and must have fed every edge
 /// mutation of `graph` since the index was last rebuilt (the engine's
@@ -592,22 +607,23 @@ fn cleanup_component_indexed(
 /// run sequentially (the index is a single mutable structure), in the
 /// same sorted order as the pooled path, producing a bit-identical
 /// removed-edge sequence and report counters — plus the
-/// `bridge_cache_hits` / `rescanned_nodes` diagnostics.
+/// `bridge_cache_hits` / `rescanned_nodes` / `heals` diagnostics.
 pub fn graph_cleanup_with_index(
     graph: &mut Graph,
+    components: &[Vec<u32>],
     config: &CleanupConfig,
     index: &mut CutIndex,
 ) -> CleanupReport {
     let stopwatch = Stopwatch::start();
     let mut report = CleanupReport::default();
 
-    let mut components: Vec<Vec<u32>> = connected_components(graph)
-        .into_iter()
+    let mut components: Vec<&Vec<u32>> = components
+        .iter()
         .filter(|component| component.len() > config.mu.min(config.gamma))
         .collect();
     components.sort_unstable_by_key(|component| component[0]);
 
-    for component in &components {
+    for component in components {
         let outcome = cleanup_component_indexed(graph, component, config, index);
         for edge in &outcome.removed {
             graph.remove_edge(edge.a, edge.b);
@@ -892,6 +908,7 @@ mod tests {
             betweenness_seconds: 0.2,
             bridge_cache_hits: 6,
             rescanned_nodes: 7,
+            heals: 8,
         };
         let part = CleanupReport {
             pre_cleanup_removed: 10,
@@ -905,6 +922,7 @@ mod tests {
             betweenness_seconds: 0.25,
             bridge_cache_hits: 60,
             rescanned_nodes: 70,
+            heals: 80,
         };
         total.merge(&part);
         assert_eq!(total.pre_cleanup_removed, 11);
@@ -918,6 +936,7 @@ mod tests {
         assert!((total.betweenness_seconds - 0.45).abs() < 1e-12);
         assert_eq!(total.bridge_cache_hits, 66);
         assert_eq!(total.rescanned_nodes, 77);
+        assert_eq!(total.heals, 88);
     }
 
     /// A miniature hub: `groups` cliques of `size` nodes, the first node of
@@ -1018,7 +1037,9 @@ mod tests {
         let mut indexed = graph.clone();
         let mut index = CutIndex::new();
         index.rebuild_from(&indexed);
-        let indexed_report = graph_cleanup_with_index(&mut indexed, config, &mut index);
+        let components = connected_components(&indexed);
+        let indexed_report =
+            graph_cleanup_with_index(&mut indexed, &components, config, &mut index);
         assert_eq!(sorted_edges(&plain), sorted_edges(&indexed));
         assert_eq!(plain_report.mincut_removed, indexed_report.mincut_removed);
         assert_eq!(plain_report.mincut_rounds, indexed_report.mincut_rounds);
@@ -1076,7 +1097,8 @@ mod tests {
         let mut index = CutIndex::new();
         index.rebuild_from(&graph);
         let before = sorted_edges(&graph);
-        graph_cleanup_with_index(&mut graph, &config, &mut index);
+        let components = connected_components(&graph);
+        graph_cleanup_with_index(&mut graph, &components, &config, &mut index);
         for round in 0..3 {
             // Re-add every edge the cleanup removed (the hub bridges).
             let cleaned = sorted_edges(&graph);
@@ -1088,10 +1110,12 @@ mod tests {
             }
             let mut oracle = graph.clone();
             let oracle_report = graph_cleanup(&mut oracle, &config);
-            let report = graph_cleanup_with_index(&mut graph, &config, &mut index);
+            let components = connected_components(&graph);
+            let report = graph_cleanup_with_index(&mut graph, &components, &config, &mut index);
             assert_eq!(sorted_edges(&oracle), sorted_edges(&graph));
             assert_eq!(report.mincut_removed, oracle_report.mincut_removed);
             assert_eq!(report.rescanned_nodes, 0, "round {round} should be warm");
+            assert_eq!(report.heals, 0);
             assert!(report.bridge_cache_hits > 0);
         }
     }

@@ -562,6 +562,7 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             Some(&mut self.blocking_index),
         )?;
         let affected = self.index.apply(&self.state, &outcome.changed_nodes);
+        outcome.num_groups = self.index.num_groups();
         self.batches_applied += 1;
         self.total_apply_seconds += watch.elapsed_secs();
 

@@ -10,12 +10,18 @@
 use gralmatch_graph::{connected_components, Graph};
 use gralmatch_records::{GroundTruth, RecordId, RecordPair};
 use gralmatch_util::FxHashMap;
+use std::borrow::Borrow;
 
 /// Build the prediction graph over `num_records` dense record ids from
-/// positively predicted pairs.
-pub fn prediction_graph(num_records: usize, predicted: &[RecordPair]) -> Graph {
+/// positively predicted pairs (a slice, or a standing state's
+/// [`Predictions`](crate::incremental::Predictions)).
+pub fn prediction_graph<P: Borrow<RecordPair>>(
+    num_records: usize,
+    predicted: impl IntoIterator<Item = P>,
+) -> Graph {
     let mut graph = Graph::with_nodes(num_records);
     for pair in predicted {
+        let pair = pair.borrow();
         graph.add_edge(pair.a.0, pair.b.0);
     }
     graph
@@ -84,7 +90,7 @@ mod tests {
 
     #[test]
     fn graph_and_groups() {
-        let graph = prediction_graph(5, &[pair(0, 1), pair(1, 2)]);
+        let graph = prediction_graph(5, [pair(0, 1), pair(1, 2)]);
         let groups = entity_groups(&graph);
         assert_eq!(groups[0], vec![RecordId(0), RecordId(1), RecordId(2)]);
         assert_eq!(groups.len(), 3, "two singletons remain");
@@ -92,7 +98,7 @@ mod tests {
 
     #[test]
     fn assignment_covers_all() {
-        let graph = prediction_graph(4, &[pair(0, 1)]);
+        let graph = prediction_graph(4, [pair(0, 1)]);
         let groups = entity_groups(&graph);
         let map = group_assignment(&groups);
         assert_eq!(map.len(), 4);

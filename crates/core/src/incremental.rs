@@ -25,34 +25,46 @@
 //!    pair whose endpoints did not change keeps its score; pairs touching
 //!    an updated/deleted record, and pairs the re-block newly proposed,
 //!    go to the scorer.
-//! 3. **Reconcile through [`MergeStage`].** Retained predictions and new
-//!    positives union via `UnionFind`; components containing a dirty node
-//!    (changed record or retracted raw edge endpoint) or a new positive
-//!    edge are rebuilt from raw predictions and pass through pre-cleanup +
-//!    Algorithm 1 again — all other components keep their standing cleaned
-//!    edges untouched.
+//! 3. **Reconcile in place.** The standing cleaned graph and the edges
+//!    the cleanup cut from it (together the raw prediction graph) are
+//!    edited, never rebuilt: the retracted positives (those at a changed
+//!    record, and those whose pair left the candidate set) come out, the
+//!    new positives go in. The raw components holding a changed record, a
+//!    retracted edge's endpoint or a new positive are found by walking the
+//!    raw graph from those nodes; each gets its raw edges back and passes
+//!    through pre-cleanup + Algorithm 1 again, with the [`CutIndex`] fed
+//!    the exact edge delta. All other components keep their cleaned edges
+//!    untouched — they are already cleaned, and both passes are idempotent
+//!    on them — so the merge costs the touched components, not the id
+//!    space.
 //!
 //! Because every step preserves the pipeline's observable state exactly —
 //! the candidate set (with provenance), the raw positive predictions, and
 //! the per-component cleanup of the raw prediction graph — an initial load
 //! followed by **any** partition of the remaining records into upsert
 //! batches lands on the same groups as a one-shot [`run_sharded`] over the
-//! final population (property-tested in `tests/upsert_equivalence.rs`).
-//! The initial load itself is just an insert-only batch against an empty
+//! final population, and holds the predictions and cleaned graph of a
+//! one-shot load after every batch (property-tested in
+//! `tests/upsert_equivalence.rs` and `tests/dynamic_bridges.rs`). The
+//! initial load itself is just an insert-only batch against an empty
 //! state, so there is one reconciliation code path, not two.
+//!
+//! Every parallel step sizes its pool by the batch's record count (see
+//! [`Parallelism`]): a delta batch runs on the writer's core, a bootstrap
+//! fans out.
 //!
 //! [`run_sharded`]: crate::shard::run_sharded
 //! [`MAX_CODE_HOLDERS`]: gralmatch_blocking::MAX_CODE_HOLDERS
 
-use crate::cleanup::CleanupReport;
+use crate::cleanup::{graph_cleanup_with_index, pre_cleanup_edges, CleanupConfig, CleanupReport};
 use crate::groups::entity_groups;
 use crate::pipeline::PipelineConfig;
-use crate::shard::{MergeStage, ShardKey, ShardPlan};
+use crate::shard::{ShardKey, ShardPlan};
 use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
     text_only_provenance, Blocker, BlockerRun, BlockingContext, CandidateSet, PairDelta, ShardIndex,
 };
-use gralmatch_graph::{CutIndex, Graph};
+use gralmatch_graph::{component_of, CutIndex, Graph};
 use gralmatch_lm::{predict_positive_with, PairScorer};
 use gralmatch_records::{Record, RecordId, RecordPair};
 use gralmatch_util::{
@@ -144,12 +156,17 @@ impl<R: FromJson> FromJson for UpsertBatch<R> {
 }
 
 /// What one [`PipelineState::apply`] call did — per-batch latency lives in
-/// `trace`, reconciliation scope in the counters.
+/// `trace`, reconciliation scope in the counters. The groups themselves
+/// are not copied out per batch: read them from
+/// [`MatchEngine::groups`](crate::engine::MatchEngine::groups) or
+/// [`PipelineState::groups`].
 #[derive(Debug, Clone)]
 pub struct UpsertOutcome {
-    /// Entity groups after the batch (largest first, dead singletons
-    /// dropped).
-    pub groups: Vec<Vec<RecordId>>,
+    /// Entity groups after the batch (live singletons included), as the
+    /// engine's group index counts them — equal to
+    /// `PipelineState::groups().len()`. 0 when the batch was applied
+    /// directly to a [`PipelineState`], outside an engine.
+    pub num_groups: usize,
     /// Blocking / inference / merge wall-clock for this batch.
     pub trace: PipelineTrace,
     /// Per-recipe blocking diagnostics for this batch (shape-stable: every
@@ -184,6 +201,13 @@ pub struct UpsertOutcome {
     /// New positive edges that connected two previously distinct
     /// components.
     pub boundary_merges: usize,
+    /// Nodes the merge's walk over the raw prediction graph reached: the
+    /// members of the touched components, nothing else.
+    pub merge_visited_nodes: usize,
+    /// Structures the merge (re)allocated at the size of the whole id
+    /// space — the cleaned graph's node range growing past its capacity.
+    /// 0 for a batch that brings no id beyond that capacity.
+    pub population_allocations: usize,
     /// Every record id whose group membership may have changed this batch
     /// (the batch's own ids plus all members of rebuilt components),
     /// sorted. Records outside this set kept their exact standing group —
@@ -208,10 +232,15 @@ pub struct UpsertOutcome {
 
 /// The standing state an incremental pipeline reconciles against:
 /// live records with their shard membership, per-shard text-blocking
-/// candidates, the global hash-join candidates, raw positive predictions,
-/// and the cleaned prediction graph. Round-trips through
-/// [`ToJson`]/[`FromJson`] so a long-running matcher can persist between
-/// batches.
+/// candidates, the global hash-join candidates, and the raw and cleaned
+/// prediction graphs. Round-trips through [`ToJson`]/[`FromJson`] so a
+/// long-running matcher can persist between batches.
+///
+/// The raw positive predictions are held as the cleaned graph plus the
+/// edges the cleanup cut from it: the cleaned graph is a subgraph of the
+/// raw one, so the two together are the raw graph, per node, with no
+/// second id-space graph. [`predicted`](Self::predicted) views them as
+/// one edge set.
 #[derive(Debug, Clone)]
 pub struct PipelineState<R> {
     plan: ShardPlan,
@@ -232,11 +261,129 @@ pub struct PipelineState<R> {
     /// Union of `global` and all `local` sets (derived; kept because the
     /// next batch diffs against it to skip already-scored pairs).
     candidates: CandidateSet,
-    /// Standing positive predictions (sorted raw edges).
-    predicted: Vec<RecordPair>,
-    /// Standing cleaned prediction graph (per-component cleanup of
-    /// `predicted`).
+    /// Standing cleaned prediction graph (per-component cleanup of the raw
+    /// predictions), spanning the id space.
     cleaned: Graph,
+    /// Raw positive predictions the cleanup removed; with `cleaned`, the
+    /// raw prediction graph.
+    cut: CutEdges,
+}
+
+/// The raw positive predictions a cleanup removed, per endpoint. Small
+/// next to the cleaned graph (the cleanup cuts a few edges per oversized
+/// component), so a hash map keyed by node instead of an id-space table.
+#[derive(Debug, Clone, Default)]
+struct CutEdges {
+    adj: FxHashMap<u32, Vec<u32>>,
+    len: usize,
+}
+
+impl CutEdges {
+    fn neighbors(&self, node: u32) -> &[u32] {
+        self.adj.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    fn contains(&self, a: u32, b: u32) -> bool {
+        self.neighbors(a).contains(&b)
+    }
+
+    /// Record a cut edge (absent before).
+    fn insert(&mut self, a: u32, b: u32) {
+        self.adj.entry(a).or_default().push(b);
+        self.adj.entry(b).or_default().push(a);
+        self.len += 1;
+    }
+
+    /// Forget a cut edge; false if it was not recorded.
+    fn remove(&mut self, a: u32, b: u32) -> bool {
+        let mut unlink = |from: u32, to: u32| {
+            let Entry::Occupied(mut entry) = self.adj.entry(from) else {
+                return false;
+            };
+            let Some(position) = entry.get().iter().position(|&n| n == to) else {
+                return false;
+            };
+            entry.get_mut().swap_remove(position);
+            if entry.get().is_empty() {
+                entry.remove();
+            }
+            true
+        };
+        let removed = unlink(a, b) && unlink(b, a);
+        self.len -= usize::from(removed);
+        removed
+    }
+
+    fn pairs(&self) -> impl Iterator<Item = RecordPair> + '_ {
+        self.adj.iter().flat_map(|(&a, list)| {
+            list.iter()
+                .filter(move |&&b| a < b)
+                .map(move |&b| RecordPair::new(RecordId(a), RecordId(b)))
+        })
+    }
+}
+
+/// Neighbours of `node` in the raw prediction graph.
+fn raw_neighbors<'g>(
+    cleaned: &'g Graph,
+    cut: &'g CutEdges,
+    node: u32,
+) -> impl Iterator<Item = u32> + 'g {
+    cleaned
+        .neighbors(node)
+        .chain(cut.neighbors(node).iter().copied())
+}
+
+/// The standing raw positive predictions as one edge set (see
+/// [`PipelineState::predicted`]). Iterates as [`RecordPair`]s in no
+/// particular order; [`sorted`](Predictions::sorted) is the canonical
+/// list the codecs write.
+#[derive(Debug, Clone, Copy)]
+pub struct Predictions<'s> {
+    cleaned: &'s Graph,
+    cut: &'s CutEdges,
+}
+
+impl<'s> Predictions<'s> {
+    /// Number of positive predictions.
+    pub fn len(&self) -> usize {
+        self.cleaned.num_edges() + self.cut.len
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `pair` is a standing positive prediction.
+    pub fn contains(&self, pair: RecordPair) -> bool {
+        self.cleaned.has_edge(pair.a.0, pair.b.0) || self.cut.contains(pair.a.0, pair.b.0)
+    }
+
+    /// Every prediction, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = RecordPair> + 's {
+        let cut = self.cut;
+        self.cleaned
+            .edges()
+            .map(|edge| RecordPair::new(RecordId(edge.a), RecordId(edge.b)))
+            .chain(cut.pairs())
+    }
+
+    /// Every prediction, sorted.
+    pub fn sorted(&self) -> Vec<RecordPair> {
+        let mut pairs: Vec<RecordPair> = self.iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+}
+
+impl<'s> IntoIterator for Predictions<'s> {
+    type Item = RecordPair;
+    type IntoIter = Box<dyn Iterator<Item = RecordPair> + 's>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
 }
 
 /// The shard-local blockers' maintained indexes, one per (shard, recipe):
@@ -318,8 +465,8 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             local: (0..plan.num_shards).map(|_| CandidateSet::new()).collect(),
             global: CandidateSet::new(),
             candidates: CandidateSet::new(),
-            predicted: Vec::new(),
             cleaned: Graph::new(),
+            cut: CutEdges::default(),
         }
     }
 
@@ -418,7 +565,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         for pair in &predicted {
             // `RecordPair::new` canonicalizes a ≤ b, so checking b bounds
             // both endpoints; an out-of-space edge would panic deep in the
-            // merge's union-find instead of erroring here.
+            // merge instead of erroring here.
             if pair.b.0 as usize >= num_ids {
                 return Err(format!(
                     "predicted edge endpoint {} outside num_ids",
@@ -427,6 +574,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             }
         }
         predicted.sort_unstable();
+        predicted.dedup();
 
         // Derived structures: id index, shard membership (a pure function
         // of each record under the plan), merged candidate union.
@@ -459,6 +607,17 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             }
             cleaned.add_edge(pair.a.0, pair.b.0);
         }
+        // The cleaned graph is a subgraph of the raw predictions; what it
+        // lacks of them is what the cleanup cut.
+        let mut cut = CutEdges::default();
+        for pair in &predicted {
+            if !cleaned.has_edge(pair.a.0, pair.b.0) {
+                cut.insert(pair.a.0, pair.b.0);
+            }
+        }
+        if predicted.len() != cleaned.num_edges() + cut.len {
+            return Err("cleaned edge outside the predicted edges".to_string());
+        }
         Ok(PipelineState {
             plan,
             num_ids,
@@ -468,14 +627,17 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             local,
             global,
             candidates,
-            predicted,
             cleaned,
+            cut,
         })
     }
 
-    /// Standing raw positive predictions, sorted.
-    pub fn predicted(&self) -> &[RecordPair] {
-        &self.predicted
+    /// Standing raw positive predictions.
+    pub fn predicted(&self) -> Predictions<'_> {
+        Predictions {
+            cleaned: &self.cleaned,
+            cut: &self.cut,
+        }
     }
 
     /// The standing cleaned prediction graph (per-component cleanup of the
@@ -643,7 +805,9 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
     /// O(affected region) instead of a per-component Tarjan rescan. The
     /// caller (the engine) owns the index across batches and must rebuild
     /// it whenever the cleaned graph changes outside `apply` (model swap,
-    /// recovery).
+    /// recovery). Without one, the batch mirrors the standing graph into a
+    /// throwaway index first — one whole-graph scan, the price of keeping
+    /// a single merge path.
     ///
     /// `blocking` is the same arrangement for step 2: with a
     /// [`BlockingIndex`] kept across batches, a touched shard is re-blocked
@@ -714,7 +878,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             .map(|b| b.as_ref())
             .collect();
         if !cross_blockers.is_empty() {
-            let ctx = BlockingContext::with_pool(config.parallelism.pool_for(self.records.len()));
+            let ctx = BlockingContext::with_pool(config.parallelism.pool_for(batch.len()));
             let (global, global_runs) =
                 gralmatch_blocking::run_blocker_refs_traced(&self.records, &cross_blockers, &ctx);
             for run in global_runs {
@@ -843,14 +1007,18 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         changed.sort_unstable();
         changed.dedup();
         let mut fresh: Vec<RecordPair> = Vec::new();
+        let mut dropped: Vec<RecordPair> = Vec::new();
         for pair in changed {
             let local_flags = self
                 .shard_of
                 .get(&pair.a.0)
                 .map_or(0, |&shard| self.local[shard as usize].provenance(pair));
             let flags = self.global.provenance(pair) | local_flags;
-            if self.candidates.set_flags(pair, flags) == 0 && flags != 0 {
+            let before = self.candidates.set_flags(pair, flags);
+            if before == 0 && flags != 0 {
                 fresh.push(pair);
+            } else if before != 0 && flags == 0 {
+                dropped.push(pair);
             }
         }
         if cfg!(debug_assertions) {
@@ -870,54 +1038,55 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             .chain(fresh.into_iter().filter(untouched))
             .collect();
         to_score.sort_unstable();
-        let scoring_pool = config.parallelism.pool_for(to_score.len());
+        let scoring_pool = config.parallelism.pool_for(batch.len());
         let scoring_watch = Stopwatch::start();
         let new_positives = predict_positive_with(scorer, &to_score, &scoring_pool);
         let scoring_seconds = scoring_watch.elapsed_secs();
 
         // Standing positives persist while both endpoints are unchanged and
-        // the pair is still a candidate; anything else is retracted, and
-        // its endpoints go dirty so the merge re-cleans their components.
-        let mut persisting: Vec<RecordPair> = Vec::with_capacity(self.predicted.len());
-        let mut dirty_nodes: FxHashSet<u32> = dirty.clone();
-        let mut retracted = 0usize;
-        for &pair in &self.predicted {
-            if untouched(&pair) && self.candidates.contains(pair) {
-                persisting.push(pair);
-            } else {
-                retracted += 1;
-                dirty_nodes.insert(pair.a.0);
-                dirty_nodes.insert(pair.b.0);
-            }
+        // the pair is still a candidate; anything else is retracted. A
+        // positive is always a candidate, so the retracted ones are the
+        // positives at a changed record plus the pairs this batch dropped
+        // from the candidate set — found from the batch, not by a scan.
+        let predictions = self.predicted();
+        let mut retracted: Vec<RecordPair> = Vec::new();
+        for &node in &dirty {
+            retracted.extend(
+                raw_neighbors(&self.cleaned, &self.cut, node)
+                    .filter(|other| !dirty.contains(other) || node < *other)
+                    .map(|other| RecordPair::new(RecordId(node), RecordId(other))),
+            );
         }
+        retracted.extend(
+            dropped
+                .into_iter()
+                .filter(|pair| untouched(pair) && predictions.contains(*pair)),
+        );
         let inference_seconds = inference_watch.elapsed_secs();
 
-        // -- 4. Reconcile through the merge stage. -------------------------
+        // -- 4. Reconcile in place. ------------------------------------------
         let merge_watch = Stopwatch::start();
+        let mut scratch_cut_index = CutIndex::new();
+        let index = index.unwrap_or_else(|| {
+            scratch_cut_index.rebuild_from(&self.cleaned);
+            &mut scratch_cut_index
+        });
+        let candidates = &self.candidates;
         let is_removable = |a: u32, b: u32| {
-            text_only_provenance(
-                self.candidates
-                    .provenance(RecordPair::new(RecordId(a), RecordId(b))),
-            )
+            text_only_provenance(candidates.provenance(RecordPair::new(RecordId(a), RecordId(b))))
         };
-        let merge = MergeStage::new(config).merge_with_index(
+        let merge = merge_in_place(
+            &mut self.cleaned,
+            &mut self.cut,
             self.num_ids,
-            std::slice::from_ref(&self.cleaned),
-            &persisting,
+            &retracted,
             &new_positives,
-            &dirty_nodes,
+            &dirty,
             &is_removable,
+            &config.cleanup,
             index,
         );
-
-        let mut predicted_now = persisting;
-        predicted_now.extend(new_positives.iter().copied());
-        predicted_now.sort_unstable();
         let new_prediction_count = new_positives.len();
-        let changed_nodes = merge.touched_nodes;
-        self.predicted = predicted_now;
-        self.cleaned = merge.graph;
-        let groups = self.groups();
         let merge_seconds = merge_watch.elapsed_secs();
 
         let mut trace = PipelineTrace::default();
@@ -948,7 +1117,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             stage: stage_names::MERGE,
             seconds: merge_seconds,
             items_in: new_prediction_count,
-            items_out: groups.len(),
+            items_out: merge.touched_components,
             rss_delta_bytes: None,
             arena_bytes: None,
             core_seconds: Some(merge.cleanup.seconds),
@@ -956,7 +1125,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         });
 
         Ok(UpsertOutcome {
-            groups,
+            num_groups: 0,
             trace,
             blocker_runs,
             inserted: batch.inserts.len(),
@@ -967,15 +1136,221 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             blocking_flipped_tokens,
             pairs_scored: to_score.len(),
             new_predictions: new_prediction_count,
-            retracted_predictions: retracted,
+            retracted_predictions: retracted.len(),
             touched_components: merge.touched_components,
             boundary_merges: merge.boundary_merges,
-            changed_nodes,
+            merge_visited_nodes: merge.visited_nodes,
+            population_allocations: merge.population_allocations,
+            changed_nodes: merge.touched_nodes,
             cleanup: merge.cleanup,
             epoch: 0,
             snapshot_publish_seconds: 0.0,
             snapshot_buckets_rebuilt: 0,
         })
+    }
+}
+
+/// What [`merge_in_place`] did.
+struct Reconciled {
+    /// Members of the touched raw components, sorted: everything outside
+    /// kept its cleaned edges verbatim.
+    touched_nodes: Vec<u32>,
+    touched_components: usize,
+    boundary_merges: usize,
+    visited_nodes: usize,
+    population_allocations: usize,
+    cleanup: CleanupReport,
+}
+
+/// Step 4 of [`PipelineState::apply_with_index`]: edit the standing
+/// cleaned graph (and its cut edges, together the raw prediction graph) by
+/// one batch's retracted and new positives, then re-clean exactly the raw
+/// components the batch touched.
+///
+/// A raw component is touched when it holds a changed record, an
+/// endpoint of a retracted edge, or an endpoint of a new positive; they
+/// are found by walking the raw graph from those seeds. Each gets its raw
+/// edges back (its cut edges are restored) and passes through pre-cleanup
+/// and Algorithm 1 again, which is exactly what a one-shot run does to it.
+/// Every other component keeps its cleaned edges: it is already cleaned,
+/// and both passes are idempotent on it. `index` mirrors the cleaned
+/// graph and is fed every edit, so work is proportional to the touched
+/// components, never to the id space.
+#[allow(clippy::too_many_arguments)]
+fn merge_in_place(
+    cleaned: &mut Graph,
+    cut: &mut CutEdges,
+    num_ids: usize,
+    retracted: &[RecordPair],
+    new_positives: &[RecordPair],
+    dirty: &FxHashSet<u32>,
+    is_removable: &dyn Fn(u32, u32) -> bool,
+    config: &CleanupConfig,
+    index: &mut CutIndex,
+) -> Reconciled {
+    // The cleaned graph spans the id space (deleted ids stay as isolated
+    // nodes); growing it past capacity is the one id-space allocation.
+    let capacity = cleaned.node_capacity();
+    if num_ids > cleaned.num_nodes() {
+        cleaned.ensure_node(num_ids as u32 - 1);
+    }
+    let population_allocations = usize::from(cleaned.node_capacity() != capacity);
+
+    // The index gets the net edge delta, every removal before every
+    // insertion: a cleaned edge retracted and scored positive again in the
+    // same batch stays put, since a removal inside a block would mark it
+    // dirty for nothing.
+    let new_edges: FxHashSet<RecordPair> = new_positives.iter().copied().collect();
+    for pair in retracted {
+        let (a, b) = (pair.a.0, pair.b.0);
+        if new_edges.contains(pair) && cleaned.has_edge(a, b) {
+            continue;
+        }
+        if cleaned.remove_edge(a, b) {
+            index.remove_edge(a, b);
+        } else {
+            cut.remove(a, b);
+        }
+    }
+    let added: Vec<RecordPair> = new_positives
+        .iter()
+        .copied()
+        .filter(|pair| cleaned.add_edge(pair.a.0, pair.b.0))
+        .collect();
+
+    // Touched raw components. Each is explored one persisting part (a
+    // component without this batch's new positives) at a time, hopping
+    // between parts over new positives — so the parts a new positive
+    // joined are counted on the way.
+    let mut seeds: Vec<u32> = dirty
+        .iter()
+        .copied()
+        .chain(retracted.iter().flat_map(|pair| [pair.a.0, pair.b.0]))
+        .chain(new_positives.iter().flat_map(|pair| [pair.a.0, pair.b.0]))
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    let mut seen: FxHashSet<u32> = FxHashSet::default();
+    let mut components: Vec<Vec<u32>> = Vec::new();
+    let mut parts = 0usize;
+    for seed in seeds {
+        let mut component: Vec<u32> = Vec::new();
+        let mut hops = vec![seed];
+        while let Some(start) = hops.pop() {
+            if !seen.insert(start) {
+                continue;
+            }
+            parts += 1;
+            let mut stack = vec![start];
+            while let Some(node) = stack.pop() {
+                component.push(node);
+                for next in raw_neighbors(cleaned, cut, node) {
+                    if seen.contains(&next) {
+                        continue;
+                    }
+                    if new_edges.contains(&RecordPair::new(RecordId(node), RecordId(next))) {
+                        hops.push(next);
+                    } else {
+                        seen.insert(next);
+                        stack.push(next);
+                    }
+                }
+            }
+        }
+        if !component.is_empty() {
+            component.sort_unstable();
+            components.push(component);
+        }
+    }
+
+    // Give the touched components their raw edges back, then feed the
+    // index the insertions: restored cut edges (in pair order), then the
+    // new positives.
+    let mut restored: Vec<(u32, u32)> = components
+        .iter()
+        .flatten()
+        .flat_map(|&a| {
+            cut.neighbors(a)
+                .iter()
+                .filter(move |&&b| a < b)
+                .map(move |&b| (a, b))
+        })
+        .collect();
+    restored.sort_unstable();
+    for &(a, b) in &restored {
+        cut.remove(a, b);
+        cleaned.add_edge(a, b);
+        index.insert_edge(a, b);
+    }
+    for pair in &added {
+        index.insert_edge(pair.a.0, pair.b.0);
+    }
+    let raw_edges: Vec<(u32, u32)> = components
+        .iter()
+        .flatten()
+        .flat_map(|&a| {
+            cleaned
+                .neighbors(a)
+                .filter(move |&b| a < b)
+                .map(move |b| (a, b))
+        })
+        .collect();
+
+    // Re-clean the touched components; whatever raw edge is gone after
+    // that was cut.
+    let mut touched_nodes: Vec<u32> = seen.into_iter().collect();
+    touched_nodes.sort_unstable();
+    let touched_components = components.len();
+    let mut cleanup = CleanupReport::default();
+    if let Some(threshold) = config.pre_cleanup_threshold {
+        let pre_watch = Stopwatch::start();
+        let removed = pre_cleanup_edges(cleaned, &components, threshold, is_removable);
+        for edge in &removed {
+            index.remove_edge(edge.a, edge.b);
+        }
+        if !removed.is_empty() {
+            // An oversized component may have fallen apart.
+            components = components
+                .into_iter()
+                .flat_map(|component| {
+                    if component.len() <= threshold {
+                        return vec![component];
+                    }
+                    let mut parts: Vec<Vec<u32>> = Vec::new();
+                    let mut placed: FxHashSet<u32> = FxHashSet::default();
+                    for &node in &component {
+                        if !placed.contains(&node) {
+                            let part = component_of(cleaned, node);
+                            placed.extend(part.iter().copied());
+                            parts.push(part);
+                        }
+                    }
+                    parts
+                })
+                .collect();
+        }
+        cleanup.pre_cleanup_removed = removed.len();
+        cleanup.pre_cleanup_seconds = pre_watch.elapsed_secs();
+    }
+    cleanup.merge(&graph_cleanup_with_index(
+        cleaned,
+        &components,
+        config,
+        index,
+    ));
+    for (a, b) in raw_edges {
+        if !cleaned.has_edge(a, b) {
+            cut.insert(a, b);
+        }
+    }
+
+    Reconciled {
+        visited_nodes: touched_nodes.len(),
+        touched_nodes,
+        touched_components,
+        boundary_merges: parts - touched_components,
+        population_allocations,
+        cleanup,
     }
 }
 
@@ -1055,6 +1430,11 @@ impl<R: Record + ToJson> ToJson for PipelineState<R> {
             .map(|edge| RecordPair::new(RecordId(edge.a), RecordId(edge.b)))
             .collect();
         cleaned.sort_unstable();
+        let predicted = Predictions {
+            cleaned: &self.cleaned,
+            cut: &self.cut,
+        }
+        .sorted();
         Json::obj([
             ("plan", self.plan.to_json()),
             ("num_ids", self.num_ids.to_json()),
@@ -1069,7 +1449,7 @@ impl<R: Record + ToJson> ToJson for PipelineState<R> {
             ("global", self.global.to_json()),
             (
                 "predicted",
-                Json::Arr(self.predicted.iter().map(pair_to_json).collect()),
+                Json::Arr(predicted.iter().map(pair_to_json).collect()),
             ),
             (
                 "cleaned",
@@ -1180,7 +1560,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            normalize(&outcome.groups),
+            normalize(&state.groups()),
             normalize(&one_shot.outcome.groups)
         );
         assert_eq!(state.candidates().len(), one_shot.outcome.num_candidates);
@@ -1205,7 +1585,7 @@ mod tests {
         let config = PipelineConfig::new(25, 5);
         let strategies = domain.blocking_strategies();
 
-        let (mut state, load) = PipelineState::initial_load(
+        let (mut state, _) = PipelineState::initial_load(
             ShardPlan::new(2),
             securities.to_vec(),
             &strategies,
@@ -1213,15 +1593,14 @@ mod tests {
             &config,
         )
         .unwrap();
-        let baseline = normalize(&load.groups);
+        let baseline = normalize(&state.groups());
 
         // Delete the members of the largest multi-record group.
-        let victim: Vec<RecordId> = load
-            .groups
-            .iter()
+        let victim: Vec<RecordId> = state
+            .groups()
+            .into_iter()
             .find(|g| g.len() > 1)
-            .expect("some multi-record group")
-            .clone();
+            .expect("some multi-record group");
         let deleted = state
             .apply(
                 &UpsertBatch {
@@ -1238,7 +1617,7 @@ mod tests {
         assert!(deleted.retracted_predictions > 0);
         for &id in &victim {
             assert!(!state.is_live(id));
-            assert!(deleted.groups.iter().all(|g| !g.contains(&id)));
+            assert!(state.groups().iter().all(|g| !g.contains(&id)));
         }
 
         // Re-insert them: the standing groups must be restored exactly.
@@ -1247,7 +1626,7 @@ mod tests {
             .filter(|record| victim.contains(&record.id))
             .cloned()
             .collect();
-        let restored = state
+        state
             .apply(
                 &UpsertBatch::inserting(reinserts),
                 &strategies,
@@ -1255,7 +1634,7 @@ mod tests {
                 &config,
             )
             .unwrap();
-        assert_eq!(normalize(&restored.groups), baseline);
+        assert_eq!(normalize(&state.groups()), baseline);
     }
 
     #[test]
@@ -1268,7 +1647,7 @@ mod tests {
         let scorer = OracleScorer::new(&gt);
         let config = PipelineConfig::new(25, 5);
         let strategies = domain.blocking_strategies();
-        let (mut state, load) = PipelineState::initial_load(
+        let (mut state, _) = PipelineState::initial_load(
             ShardPlan::new(2),
             securities.to_vec(),
             &strategies,
@@ -1276,13 +1655,16 @@ mod tests {
             &config,
         )
         .unwrap();
+        let groups = normalize(&state.groups());
         let outcome = state
             .apply(&UpsertBatch::new(), &strategies, &scorer, &config)
             .unwrap();
         assert_eq!(outcome.pairs_scored, 0);
         assert_eq!(outcome.touched_shards, 0);
         assert_eq!(outcome.retracted_predictions, 0);
-        assert_eq!(normalize(&outcome.groups), normalize(&load.groups));
+        assert_eq!(outcome.merge_visited_nodes, 0);
+        assert_eq!(outcome.population_allocations, 0);
+        assert_eq!(normalize(&state.groups()), groups);
     }
 
     #[test]
@@ -1393,7 +1775,7 @@ mod tests {
         for (pair, flags) in state.candidates().iter() {
             assert_eq!(back.candidates().provenance(pair), flags);
         }
-        assert_eq!(back.predicted(), state.predicted());
+        assert_eq!(back.predicted().sorted(), state.predicted().sorted());
         assert_eq!(normalize(&back.groups()), normalize(&state.groups()));
         // Serialization is canonical: a round-tripped state re-serializes
         // to the identical text.
@@ -1409,13 +1791,13 @@ mod tests {
             updates: Vec::new(),
             deletes: vec![victim],
         };
-        let a = original
+        original
             .apply(&batch, &strategies, &scorer, &config)
             .unwrap();
-        let b = restored
+        restored
             .apply(&batch, &strategies, &scorer, &config)
             .unwrap();
-        assert_eq!(normalize(&a.groups), normalize(&b.groups));
+        assert_eq!(normalize(&original.groups()), normalize(&restored.groups()));
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub use host::{
     model_fingerprint, scorer_provider, EngineHost, EngineTenant, HostError, TenantEngine,
     HEURISTIC_JACCARD,
 };
-pub use incremental::{churn_window, BlockingIndex, PipelineState, UpsertBatch, UpsertOutcome};
+pub use incremental::{
+    churn_window, BlockingIndex, PipelineState, Predictions, UpsertBatch, UpsertOutcome,
+};
 pub use label_propagation::{label_propagation_groups, LabelPropagationConfig};
 pub use metrics::{group_metrics, pairwise_metrics, GroupMetrics, PairMetrics};
 pub use persist::{

@@ -17,6 +17,7 @@
 
 use crate::groups::count_group_pairs;
 use gralmatch_records::{GroundTruth, RecordId, RecordPair};
+use std::borrow::Borrow;
 
 /// Precision / recall / F1 with raw counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,13 +65,19 @@ impl PairMetrics {
     }
 }
 
-/// Pairwise metrics of predicted pairs against the full ground truth.
-pub fn pairwise_metrics(predicted: &[RecordPair], gt: &GroundTruth) -> PairMetrics {
-    let tp = predicted
-        .iter()
-        .filter(|pair| gt.is_match_pair(**pair))
-        .count() as u64;
-    let fp = predicted.len() as u64 - tp;
+/// Pairwise metrics of predicted pairs (a slice, or a standing state's
+/// [`Predictions`](crate::incremental::Predictions)) against the full
+/// ground truth.
+pub fn pairwise_metrics<P: Borrow<RecordPair>>(
+    predicted: impl IntoIterator<Item = P>,
+    gt: &GroundTruth,
+) -> PairMetrics {
+    let (mut tp, mut total) = (0u64, 0u64);
+    for pair in predicted {
+        total += 1;
+        tp += u64::from(gt.is_match_pair(*pair.borrow()));
+    }
+    let fp = total - tp;
     let total_true = gt.num_true_pairs();
     let fn_ = total_true.saturating_sub(tp);
     PairMetrics::from_counts(tp, fp, fn_)
@@ -136,7 +143,7 @@ mod tests {
     #[test]
     fn perfect_pairwise() {
         let gt = gt_of(&[(0, 1), (1, 1), (2, 2)]);
-        let metrics = pairwise_metrics(&[pair(0, 1)], &gt);
+        let metrics = pairwise_metrics([pair(0, 1)], &gt);
         assert_eq!(metrics.precision, 1.0);
         assert_eq!(metrics.recall, 1.0);
         assert_eq!(metrics.f1, 1.0);
@@ -146,7 +153,7 @@ mod tests {
     fn blocking_loss_hits_recall() {
         // Two true pairs; only one predicted.
         let gt = gt_of(&[(0, 1), (1, 1), (2, 2), (3, 2)]);
-        let metrics = pairwise_metrics(&[pair(0, 1)], &gt);
+        let metrics = pairwise_metrics([pair(0, 1)], &gt);
         assert_eq!(metrics.precision, 1.0);
         assert_eq!(metrics.recall, 0.5);
     }
@@ -154,7 +161,7 @@ mod tests {
     #[test]
     fn false_positive_hits_precision() {
         let gt = gt_of(&[(0, 1), (1, 1), (2, 2)]);
-        let metrics = pairwise_metrics(&[pair(0, 1), pair(0, 2)], &gt);
+        let metrics = pairwise_metrics([pair(0, 1), pair(0, 2)], &gt);
         assert_eq!(metrics.tp, 1);
         assert_eq!(metrics.fp, 1);
         assert_eq!(metrics.precision, 0.5);
@@ -163,7 +170,7 @@ mod tests {
     #[test]
     fn empty_predictions() {
         let gt = gt_of(&[(0, 1), (1, 1)]);
-        let metrics = pairwise_metrics(&[], &gt);
+        let metrics = pairwise_metrics(&[] as &[RecordPair], &gt);
         assert_eq!(metrics.precision, 0.0);
         assert_eq!(metrics.recall, 0.0);
         assert_eq!(metrics.f1, 0.0);

@@ -280,7 +280,7 @@ where
     encode_candidate_set(state.global_set(), &mut global);
 
     let mut predicted = BinWriter::new();
-    encode_pairs(state.predicted(), &mut predicted);
+    encode_pairs(&state.predicted().sorted(), &mut predicted);
 
     let mut cleaned_edges: Vec<RecordPair> = state
         .cleaned()

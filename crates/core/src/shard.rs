@@ -35,10 +35,14 @@
 //! with [`ShardKey::Source`] every multi-source group crosses shards and
 //! the merge stage does the heavy lifting — the stress setting for
 //! incremental upserts, which will re-block single shards.
+//!
+//! [`run_sharded`] is the one-shot *reference* path. The incremental
+//! engine shares its [`ShardPlan`] but not its merge: it edits the
+//! standing cleaned graph in place (`incremental.rs`), so a batch pays for
+//! the components it touches rather than for a union-find and a graph over
+//! the whole id space.
 
-use crate::cleanup::{
-    graph_cleanup_with_index, graph_cleanup_with_pool, pre_cleanup_edges, CleanupReport,
-};
+use crate::cleanup::{graph_cleanup_with_pool, pre_cleanup, CleanupReport};
 use crate::domain::MatchingDomain;
 use crate::groups::{entity_groups, prediction_graph};
 use crate::metrics::{group_metrics, pairwise_metrics};
@@ -48,7 +52,7 @@ use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
     run_blocker_refs_traced, text_only_provenance, BlockerRun, BlockingContext, CandidateSet,
 };
-use gralmatch_graph::{CutIndex, Edge, Graph, UnionFind};
+use gralmatch_graph::{Graph, UnionFind};
 use gralmatch_lm::{predict_positive_with, PairScorer};
 use gralmatch_records::{Record, RecordId, RecordPair};
 use gralmatch_util::{current_rss_bytes, Error, FxHashSet, Stopwatch};
@@ -126,9 +130,15 @@ impl ShardPlan {
     }
 }
 
-/// The cross-shard reconciliation step: union per-shard components via
-/// [`UnionFind`], rebuild boundary-touched components from raw
-/// predictions, and re-run the cleanup on them.
+/// The cross-shard reconciliation step of the [`run_sharded`] oracle: union
+/// per-shard components via [`UnionFind`], rebuild boundary-touched
+/// components from raw predictions, and re-run the cleanup on them.
+///
+/// The incremental engine does not go through here: it edits its standing
+/// cleaned graph in place (`PipelineState::apply_with_index`), so a batch
+/// costs the components it touches. This whole-population rebuild stays as
+/// the independent one-shot reference the equivalence suites compare
+/// against.
 pub struct MergeStage<'a> {
     config: &'a PipelineConfig,
 }
@@ -139,18 +149,6 @@ pub struct MergeResult {
     pub graph: Graph,
     /// Boundary edges that actually connected two distinct components.
     pub boundary_merges: usize,
-    /// Components a boundary edge touched (rebuilt and re-cleaned).
-    pub touched_components: usize,
-    /// Members of the rebuilt components (raw-edge endpoints in touched
-    /// components, plus the dirty nodes themselves), sorted. Exactness
-    /// rests on the [`merge`](MergeStage::merge) caller contract: when
-    /// raw edges were retracted since the standing graphs were built,
-    /// `dirty_nodes` must name their endpoints (the upsert path does) —
-    /// then everything *outside* this set kept its cleaned edges
-    /// verbatim, making it the invalidation set for any index derived
-    /// from the cleaned graph (the engine's record-id → group index
-    /// updates only these).
-    pub touched_nodes: Vec<u32>,
     /// Edges removed by the post-merge cleanup.
     pub cleanup: CleanupReport,
 }
@@ -163,69 +161,23 @@ impl<'a> MergeStage<'a> {
 
     /// Reconcile per-shard results into one graph.
     ///
-    /// Components containing a boundary edge — or any node in
-    /// `dirty_nodes` — are rebuilt from their **raw** predictions
-    /// (`shard_predicted` + `boundary_predicted`) and pass through
-    /// pre-cleanup and Algorithm 1 again — exactly what an unsharded run
-    /// would do to them, since the cleanup is deterministic per component.
-    /// Untouched components keep their shard-cleaned edges (already ≤ μ),
-    /// so the re-cleanup cost is proportional to the cross-shard surface.
-    /// `is_removable(a, b)` is the pre-cleanup predicate over the combined
-    /// candidate provenance (raw record ids, canonical `a < b`).
-    ///
-    /// `dirty_nodes` is the incremental-upsert hook: an upsert batch marks
-    /// inserted/updated/deleted records *and the endpoints of retracted
-    /// raw edges* dirty, forcing every component whose raw edge set
-    /// changed through a re-clean even when no new positive edge touches
-    /// it (a delete can split a component without proposing anything new).
-    /// Sharded one-shot runs pass an empty set.
+    /// Components containing a boundary edge are rebuilt from their
+    /// **raw** predictions (`shard_predicted` + `boundary_predicted`) and
+    /// pass through pre-cleanup and Algorithm 1 again — exactly what an
+    /// unsharded run would do to them, since the cleanup is deterministic
+    /// per component. Untouched components keep their shard-cleaned edges
+    /// (already ≤ μ), so the re-cleanup cost is proportional to the
+    /// cross-shard surface. `is_removable(a, b)` is the pre-cleanup
+    /// predicate over the combined candidate provenance (raw record ids,
+    /// canonical `a < b`).
     pub fn merge(
         &self,
         num_records: usize,
         shard_graphs: &[Graph],
         shard_predicted: &[RecordPair],
         boundary_predicted: &[RecordPair],
-        dirty_nodes: &FxHashSet<u32>,
         is_removable: &dyn Fn(u32, u32) -> bool,
     ) -> MergeResult {
-        self.merge_with_index(
-            num_records,
-            shard_graphs,
-            shard_predicted,
-            boundary_predicted,
-            dirty_nodes,
-            is_removable,
-            None,
-        )
-    }
-
-    /// [`merge`](MergeStage::merge) with an optional persistent
-    /// [`CutIndex`] mirroring the **previous cleaned graph** (the engine's
-    /// steady-state path, where `shard_graphs` is exactly that one graph).
-    ///
-    /// When an index is passed, the merge feeds it the exact edge delta
-    /// between the previous cleaned graph and the rebuilt merged graph —
-    /// the cleaned edges dropped from touched components and not restored
-    /// by the raw re-add, the raw/boundary edges newly introduced, and the
-    /// pre-cleanup removals — then runs the cleanup through
-    /// [`graph_cleanup_with_index`], whose own removals keep the index in
-    /// sync. Cost of the delta feed is O(touched region + boundary), so a
-    /// steady churn batch never re-scans the untouched graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn merge_with_index(
-        &self,
-        num_records: usize,
-        shard_graphs: &[Graph],
-        shard_predicted: &[RecordPair],
-        boundary_predicted: &[RecordPair],
-        dirty_nodes: &FxHashSet<u32>,
-        is_removable: &dyn Fn(u32, u32) -> bool,
-        mut index: Option<&mut CutIndex>,
-    ) -> MergeResult {
-        debug_assert!(
-            index.is_none() || shard_graphs.len() == 1,
-            "a CutIndex mirrors one standing cleaned graph"
-        );
         // Components of the raw merged prediction graph.
         let mut components = UnionFind::new(num_records);
         for pair in shard_predicted {
@@ -237,69 +189,28 @@ impl<'a> MergeStage<'a> {
                 boundary_merges += 1;
             }
         }
-        let mut touched: FxHashSet<u32> = FxHashSet::default();
-        for pair in boundary_predicted {
-            touched.insert(components.find(pair.a.0));
-        }
-        let mut touched_nodes: FxHashSet<u32> = FxHashSet::default();
-        for &node in dirty_nodes {
-            if (node as usize) < num_records {
-                touched.insert(components.find(node));
-                touched_nodes.insert(node);
-            }
-        }
+        let touched: FxHashSet<u32> = boundary_predicted
+            .iter()
+            .map(|pair| components.find(pair.a.0))
+            .collect();
 
         // Untouched components keep their shard-cleaned edges; touched ones
-        // are rebuilt raw and re-cleaned below. Both endpoints are checked:
-        // a retracted raw edge can leave its endpoints in *different*
-        // current components, and a standing cleaned edge between them must
-        // not survive either side's rebuild.
+        // are rebuilt raw and re-cleaned below.
         let mut merged = Graph::with_nodes(num_records);
-        let mut dropped: Vec<Edge> = Vec::new();
-        let mut introduced: Vec<(u32, u32)> = Vec::new();
         for graph in shard_graphs {
             for edge in graph.edges() {
-                if !touched.contains(&components.find(edge.a))
-                    && !touched.contains(&components.find(edge.b))
-                {
+                if !touched.contains(&components.find(edge.a)) {
                     merged.add_edge(edge.a, edge.b);
-                } else if index.is_some() {
-                    dropped.push(edge);
                 }
             }
         }
         for pair in shard_predicted {
             if touched.contains(&components.find(pair.a.0)) {
-                if merged.add_edge(pair.a.0, pair.b.0) && index.is_some() {
-                    introduced.push((pair.a.0, pair.b.0));
-                }
-                touched_nodes.insert(pair.a.0);
-                touched_nodes.insert(pair.b.0);
+                merged.add_edge(pair.a.0, pair.b.0);
             }
         }
         for pair in boundary_predicted {
-            if merged.add_edge(pair.a.0, pair.b.0) && index.is_some() {
-                introduced.push((pair.a.0, pair.b.0));
-            }
-            touched_nodes.insert(pair.a.0);
-            touched_nodes.insert(pair.b.0);
-        }
-        if let Some(index) = index.as_deref_mut() {
-            // Feed the exact delta vs the previous cleaned graph: a dropped
-            // cleaned edge may have been restored by the raw re-add (then
-            // nothing changed), and an introduced raw edge may have already
-            // been standing.
-            let previous = &shard_graphs[0];
-            for edge in &dropped {
-                if !merged.has_edge(edge.a, edge.b) {
-                    index.remove_edge(edge.a, edge.b);
-                }
-            }
-            for &(a, b) in &introduced {
-                if !previous.has_edge(a, b) {
-                    index.insert_edge(a, b);
-                }
-            }
+            merged.add_edge(pair.a.0, pair.b.0);
         }
 
         // Re-clean: only the rebuilt (touched) components exceed the
@@ -309,39 +220,18 @@ impl<'a> MergeStage<'a> {
         let mut cleanup = CleanupReport::default();
         if let Some(threshold) = self.config.cleanup.pre_cleanup_threshold {
             let pre_watch = Stopwatch::start();
-            let removed = pre_cleanup_edges(&mut merged, threshold, is_removable);
-            if let Some(index) = index.as_deref_mut() {
-                for edge in &removed {
-                    index.remove_edge(edge.a, edge.b);
-                }
-            }
-            cleanup.pre_cleanup_removed = removed.len();
+            cleanup.pre_cleanup_removed = pre_cleanup(&mut merged, threshold, is_removable);
             cleanup.pre_cleanup_seconds = pre_watch.elapsed_secs();
         }
-        match index {
-            Some(index) => {
-                cleanup.merge(&graph_cleanup_with_index(
-                    &mut merged,
-                    &self.config.cleanup,
-                    index,
-                ));
-            }
-            None => {
-                let pool = self.config.parallelism.pool_for(merged.num_edges());
-                cleanup.merge(&graph_cleanup_with_pool(
-                    &mut merged,
-                    &self.config.cleanup,
-                    &pool,
-                ));
-            }
-        }
-        let mut touched_nodes: Vec<u32> = touched_nodes.into_iter().collect();
-        touched_nodes.sort_unstable();
+        let pool = self.config.parallelism.pool_for(merged.num_edges());
+        cleanup.merge(&graph_cleanup_with_pool(
+            &mut merged,
+            &self.config.cleanup,
+            &pool,
+        ));
         MergeResult {
             graph: merged,
             boundary_merges,
-            touched_components: touched.len(),
-            touched_nodes,
             cleanup,
         }
     }
@@ -538,7 +428,6 @@ where
         &shard_graphs,
         &all_predicted,
         &boundary_predicted,
-        &FxHashSet::default(),
         &is_removable,
     );
     cleanup_report.merge(&merge.cleanup);

@@ -43,6 +43,10 @@ pub struct CleanupPhases {
     /// Nodes the `CutIndex` had to Tarjan-rescan (dirty blocks + cold
     /// regions; 0 on the non-indexed path).
     pub rescanned_nodes: usize,
+    /// Region rescans no fed delta explains
+    /// ([`CutIndexStats::heals`](gralmatch_graph::CutIndexStats::heals));
+    /// 0 under a complete delta feed.
+    pub heals: usize,
 }
 
 impl CleanupPhases {
@@ -54,6 +58,7 @@ impl CleanupPhases {
             betweenness_seconds: self.betweenness_seconds + other.betweenness_seconds,
             bridge_cache_hits: self.bridge_cache_hits + other.bridge_cache_hits,
             rescanned_nodes: self.rescanned_nodes + other.rescanned_nodes,
+            heals: self.heals + other.heals,
         }
     }
 }
@@ -227,6 +232,7 @@ mod tests {
                 betweenness_seconds: 0.2,
                 bridge_cache_hits: 5,
                 rescanned_nodes: 7,
+                heals: 1,
             }),
         });
         trace
@@ -279,6 +285,7 @@ mod tests {
         assert!((phases.betweenness_seconds - 0.4).abs() < 1e-12);
         assert_eq!(phases.bridge_cache_hits, 10);
         assert_eq!(phases.rescanned_nodes, 14);
+        assert_eq!(phases.heals, 2);
         // Arena sizes roll up as a max (shards share one compiled view).
         assert_eq!(inference.arena_bytes, Some(1 << 16));
         // Order is first-appearance: blocking before inference.

@@ -29,6 +29,14 @@
 //! rescan, which *is* the oracle computation. The fast path can therefore
 //! only ever return the exact structure a fresh Tarjan scan would.
 //!
+//! Such a fallback is *planned* when the index itself recorded the
+//! staleness: a dirty block that a removal split across components (or
+//! the remnant such a split leaves behind once one side was rescanned).
+//! Every other fallback is a *heal* — structure no delta marked stale,
+//! i.e. a mutation the caller failed to feed — and is counted apart in
+//! [`CutIndexStats::heals`], so a broken delta feed shows up as a counter
+//! instead of a slowdown.
+//!
 //! [`insert_edge`]: CutIndex::insert_edge
 //! [`remove_edge`]: CutIndex::remove_edge
 //! [`structure_for`]: CutIndex::structure_for
@@ -47,6 +55,11 @@ pub struct CutIndexStats {
     /// near zero; a cold or invalidated index pays one region scan per
     /// touched component.
     pub rescanned_nodes: usize,
+    /// Region rescans no recorded delta explains (a node the index never
+    /// saw, a clean block whose recorded shape no longer matches, a
+    /// bridge leaving its region or breaking the block tree). Zero under
+    /// a complete delta feed; their nodes are also in `rescanned_nodes`.
+    pub heals: usize,
 }
 
 /// The cut structure of one region (a connected component), in the
@@ -94,6 +107,10 @@ pub struct CutIndex {
     bridge_adj: FxHashMap<u32, Vec<u32>>,
     /// Block roots whose interior may have lost 2-edge-connectivity.
     dirty: FxHashSet<u32>,
+    /// Remnants of dirty blocks a region rescan split off: block root →
+    /// nodes still assigned to it. Their recorded weight is knowingly
+    /// stale, so the rescan their next query takes is planned, not a heal.
+    split: FxHashMap<u32, u32>,
     /// Maintenance counters.
     pub stats: CutIndexStats,
 }
@@ -123,6 +140,7 @@ impl CutIndex {
         self.tree_parent.clear();
         self.bridge_adj.clear();
         self.dirty.clear();
+        self.split.clear();
     }
 
     /// Invalidate, then eagerly rebuild the structure of every component
@@ -175,6 +193,12 @@ impl CutIndex {
         };
         if self.rank[winner as usize] == self.rank[loser as usize] {
             self.rank[winner as usize] += 1;
+        }
+        let (loser_split, winner_split) = (self.split.remove(&loser), self.split.remove(&winner));
+        if loser_split.is_some() || winner_split.is_some() {
+            let live = loser_split.unwrap_or(self.weight[loser as usize])
+                + winner_split.unwrap_or(self.weight[winner as usize]);
+            self.split.insert(winner, live);
         }
         self.uf[loser as usize] = winner;
         self.weight[winner as usize] += self.weight[loser as usize];
@@ -359,23 +383,34 @@ impl CutIndex {
         // Pass 1: resolve blocks and rescan dirty ones, to fixpoint
         // (fresh blocks are clean and exact, so one round suffices).
         let Some(roots) = self.region_roots(region) else {
-            return self.rescan_region(sub, region);
+            return self.heal(sub, region);
         };
         let mut by_root: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
         for (local, &root) in roots.iter().enumerate() {
             by_root.entry(root).or_default().push(local as u32);
         }
-        let mut needs_block_rescan: Vec<u32> = Vec::new();
-        for (&root, locals) in &by_root {
-            if self.weight[root as usize] as usize != locals.len() {
-                // The block bleeds outside the region (or lost nodes):
-                // the recorded shape cannot be trusted at all.
-                return self.rescan_region(sub, region);
-            }
-            if self.dirty.contains(&root) {
-                needs_block_rescan.push(root);
-            }
+        // A block that bleeds outside the region (or lost nodes) cannot be
+        // trusted at all. That is planned when a removal split a dirty
+        // block (or this is what a rescan left of one), a heal otherwise.
+        let mut bleeding = by_root
+            .iter()
+            .filter(|(&root, locals)| self.weight[root as usize] as usize != locals.len())
+            .map(|(&root, _)| root)
+            .peekable();
+        if bleeding.peek().is_some() {
+            let planned =
+                bleeding.all(|root| self.dirty.contains(&root) || self.split.contains_key(&root));
+            return if planned {
+                self.rescan_region(sub, region)
+            } else {
+                self.heal(sub, region)
+            };
         }
+        let mut needs_block_rescan: Vec<u32> = by_root
+            .keys()
+            .copied()
+            .filter(|root| self.dirty.contains(root))
+            .collect();
         if !needs_block_rescan.is_empty() {
             // Deterministic rescan order (affects only fresh-id layout).
             needs_block_rescan.sort_unstable_by_key(|root| by_root[root][0]);
@@ -386,7 +421,7 @@ impl CutIndex {
         // Pass 2: dense labels in first-seen region order, bridge
         // enumeration, and tree validation.
         let Some(roots) = self.region_roots(region) else {
-            return self.rescan_region(sub, region);
+            return self.heal(sub, region);
         };
         let mut dense: FxHashMap<u32, u32> = FxHashMap::default();
         let mut block_of: Vec<u32> = Vec::with_capacity(region.len());
@@ -406,17 +441,17 @@ impl CutIndex {
                 }
                 let Ok(other_local) = region.binary_search(&other) else {
                     // A recorded bridge leaving the region: stale.
-                    return self.rescan_region(sub, region);
+                    return self.heal(sub, region);
                 };
                 let (x, y) = (block_of[local], block_of[other_local]);
                 if x == y {
-                    return self.rescan_region(sub, region);
+                    return self.heal(sub, region);
                 }
                 bridges.push(((local as u32, other_local as u32), x, y));
             }
         }
         if !blocks_form_spanning_tree(num_blocks, &bridges) {
-            return self.rescan_region(sub, region);
+            return self.heal(sub, region);
         }
         RegionStructure {
             block_of,
@@ -435,9 +470,16 @@ impl CutIndex {
     }
 
     /// Drop every recorded trace of the given nodes' blocks and bridges.
+    /// A dirty block (or an earlier remnant) that keeps nodes outside
+    /// `nodes` leaves a remnant behind in `split`.
     fn purge_nodes(&mut self, nodes: &[u32]) {
+        // Block root → (nodes purged from it, whether its staleness was
+        // recorded: dirty or already a remnant).
+        let mut purged: FxHashMap<u32, (u32, bool)> = FxHashMap::default();
         for &node in nodes {
             if let Some(root) = self.block_root(node) {
+                let recorded = self.dirty.contains(&root) || self.split.contains_key(&root);
+                purged.entry(root).or_insert((0, recorded)).0 += 1;
                 self.dirty.remove(&root);
                 self.tree_parent.remove(&root);
             }
@@ -448,6 +490,15 @@ impl CutIndex {
             }
             if (node as usize) < self.node_block.len() {
                 self.node_block[node as usize] = u32::MAX;
+            }
+        }
+        for (root, (count, recorded)) in purged {
+            let live = self
+                .split
+                .remove(&root)
+                .unwrap_or(self.weight[root as usize]);
+            if recorded && live > count {
+                self.split.insert(root, live - count);
             }
         }
     }
@@ -521,6 +572,12 @@ impl CutIndex {
 
     fn rescan_region(&mut self, sub: &Subgraph, region: &[u32]) -> RegionStructure {
         self.install_region_scan(sub, region)
+    }
+
+    /// A region rescan no recorded delta explains.
+    fn heal(&mut self, sub: &Subgraph, region: &[u32]) -> RegionStructure {
+        self.stats.heals += 1;
+        self.rescan_region(sub, region)
     }
 
     /// Rescan one dirty block in place: fresh blocks for its interior,
@@ -774,6 +831,26 @@ mod tests {
             index.stats.rescanned_nodes > 0,
             "validation must catch this"
         );
+        assert!(index.stats.heals > 0, "an unfed delta counts as a heal");
+    }
+
+    #[test]
+    fn fed_split_of_a_dirty_block_is_planned_not_a_heal() {
+        // A 4-cycle is one block; removing two opposite edges splits it
+        // into two components. Both sides fall back to region rescans —
+        // the second through the remnant the first rescan left behind —
+        // and neither is a heal, because every removal was fed.
+        let mut graph = Graph::from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let mut index = CutIndex::new();
+        index.rebuild_from(&graph);
+        for (a, b) in [(0, 1), (2, 3)] {
+            graph.remove_edge(a, b);
+            index.remove_edge(a, b);
+        }
+        assert_matches_scratch(&mut index, &graph);
+        assert_eq!(index.stats.rescanned_nodes, 4);
+        assert_eq!(index.stats.heals, 0);
+        assert!(index.split.is_empty(), "both remnants were rescanned");
     }
 
     #[test]

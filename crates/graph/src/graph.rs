@@ -78,6 +78,13 @@ impl Graph {
         self.num_edges
     }
 
+    /// Node slots allocated (at least [`num_nodes`](Graph::num_nodes)).
+    /// Growing the node range past it reallocates every slot.
+    #[inline]
+    pub fn node_capacity(&self) -> usize {
+        self.adj.capacity()
+    }
+
     /// Ensure node `id` exists (extends the node range).
     pub fn ensure_node(&mut self, id: NodeId) {
         if (id as usize) >= self.adj.len() {

@@ -22,6 +22,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// explicit override and is honored *regardless of input size* — callers
 /// that measured their workload can force parallelism where the heuristic
 /// would decline it, or force `Fixed(1)` for deterministic profiling.
+///
+/// The incremental apply path sizes every pool by the **batch's record
+/// count**, not by the live population or the records a batch reaches: a
+/// delta batch of a few records runs on the writer's one core (two
+/// workers measured no faster there, and they would take the core the
+/// concurrent lookups are served from), while a bootstrap or a shard's
+/// first full block — one insert-only batch of every record — fans out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Pick a worker count from `std::thread::available_parallelism`,
@@ -36,7 +43,9 @@ pub enum Parallelism {
 ///
 /// The value is the break-even point measured for pairwise scoring: below
 /// ~1K pairs, thread spawn + join overhead (tens of microseconds per
-/// thread) dominates the per-pair scoring cost.
+/// thread) dominates the per-pair scoring cost. On the incremental apply
+/// path the item count is the batch's record count (see [`Parallelism`]),
+/// so every delta batch below this size runs on one thread.
 pub const SEQUENTIAL_CUTOFF: usize = 1024;
 
 /// Default number of items per stealable work chunk.

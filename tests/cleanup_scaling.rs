@@ -11,17 +11,21 @@
 //! * replaying the hub-entity dataset through the incremental engine —
 //!   bootstrap load plus churn batches that keep dirtying the
 //!   mega-component — lands on exactly the groups of a one-shot
-//!   [`run_sharded`] over the final population.
+//!   [`run_sharded`] over the final population;
+//! * a delta batch's merge costs its touched components: on a 10k-record
+//!   hub state a one-record update walks only its own component and
+//!   allocates nothing the size of the id space.
 //!
 //! The offline build has no `proptest`; cases are deterministic seeded
 //! instances with the seed in every assertion message.
 
 use gralmatch::core::{
-    graph_cleanup, graph_cleanup_with_pool, reference_graph_cleanup, run_sharded, CleanupConfig,
-    CompanyDomain, MatchingDomain, PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
+    graph_cleanup, graph_cleanup_with_pool, prediction_graph, reference_graph_cleanup, run_sharded,
+    CleanupConfig, CompanyDomain, CompiledScorerProvider, MatchEngine, MatchingDomain,
+    PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
 };
 use gralmatch::datagen::{hub_churn_updates, hub_companies, hub_graph, HubConfig};
-use gralmatch::graph::{connected_components, Edge, Graph};
+use gralmatch::graph::{component_of, connected_components, Edge, Graph};
 use gralmatch::lm::{
     CompiledDataset, CompiledScorer, HeuristicMatcher, PairwiseMatcher, PlainEncoder,
 };
@@ -219,7 +223,7 @@ fn hub_churn_replay_matches_one_shot_groups() {
     pipeline_config.parallelism = Parallelism::Fixed(4);
     let plan = ShardPlan::new(2);
 
-    let (mut state, load) = PipelineState::initial_load(
+    let (mut state, _) = PipelineState::initial_load(
         plan,
         companies.clone(),
         &strategies,
@@ -227,7 +231,6 @@ fn hub_churn_replay_matches_one_shot_groups() {
         &pipeline_config,
     )
     .unwrap();
-    let mut last_groups = load.groups;
     let mut final_records = companies.clone();
     for batch in 0..config.churn_batches {
         let updates = hub_churn_updates(&config, batch);
@@ -246,8 +249,13 @@ fn hub_churn_replay_matches_one_shot_groups() {
                 &pipeline_config,
             )
             .unwrap_or_else(|e| panic!("churn batch {batch}: {e:?}"));
-        last_groups = outcome.groups;
+        // Every re-submitted pair scores positive again, so the cleaned
+        // graph's net edge delta is the re-welded hub bridges alone: no
+        // block goes dirty and the cut index rescans nothing.
+        assert!(outcome.retracted_predictions > 0);
+        assert_eq!(outcome.cleanup.rescanned_nodes, 0, "churn batch {batch}");
     }
+    let last_groups = state.groups();
 
     let final_domain =
         CompanyDomain::new(&final_records, &no_securities).with_token_config(token_config);
@@ -275,4 +283,79 @@ fn hub_churn_replay_matches_one_shot_groups() {
 
 fn entity_of(companies: &[CompanyRecord], id: RecordId) -> u32 {
     companies[id.0 as usize].entity.unwrap().0
+}
+
+#[test]
+fn delta_merge_work_is_bounded_by_the_touched_components() {
+    // 40 independent hub mega-components of 253 records each.
+    let config = HubConfig {
+        hubs: 40,
+        groups_per_hub: 63,
+        group_size: 4,
+        churn_batches: 1,
+        churn_rewires: 1,
+    };
+    let companies = hub_companies(&config);
+    assert!(companies.len() >= 10_000);
+    let token_config = gralmatch::blocking::TokenOverlapConfig {
+        top_n: 50,
+        max_token_df: 600,
+        min_overlap: 2,
+    };
+    let no_securities = [];
+    let domain = CompanyDomain::new(&companies, &no_securities).with_token_config(token_config);
+    let matcher = HeuristicMatcher {
+        jaccard_threshold: 0.45,
+    };
+    let provider = CompiledScorerProvider::new(matcher, PlainEncoder::new(128));
+    let (mut engine, load) = MatchEngine::bootstrap(
+        ShardPlan::new(2),
+        companies.clone(),
+        domain.blocking_strategies(),
+        Box::new(provider),
+        PipelineConfig::new(config.group_size + 1, config.group_size),
+    )
+    .unwrap();
+    assert_eq!(load.merge_visited_nodes, companies.len());
+    assert!(
+        load.population_allocations > 0,
+        "the bootstrap grows the cleaned graph to the id space"
+    );
+
+    // A name-only update of one group member, then its delete and its
+    // re-insert: each batch's merge walks at most the member's raw
+    // component and never allocates at the size of the id space.
+    let id = config.member_node(7, 11, 2);
+    let mut renamed = companies[id as usize].clone();
+    renamed.name.push_str(" renamed");
+    let raw = prediction_graph(engine.state().num_ids(), engine.state().predicted());
+    let component = component_of(&raw, id);
+    assert!(
+        component.len() * 20 < companies.len(),
+        "{}",
+        component.len()
+    );
+    let batches = [
+        UpsertBatch {
+            updates: vec![renamed.clone()],
+            ..UpsertBatch::new()
+        },
+        UpsertBatch {
+            deletes: vec![RecordId(id)],
+            ..UpsertBatch::new()
+        },
+        UpsertBatch::inserting(vec![renamed]),
+    ];
+    for (step, batch) in batches.iter().enumerate() {
+        let outcome = engine.apply_batch(batch).unwrap();
+        assert!(outcome.merge_visited_nodes > 0, "batch {step}");
+        assert!(
+            outcome.merge_visited_nodes <= component.len(),
+            "batch {step}: walked {} nodes, its component has {}",
+            outcome.merge_visited_nodes,
+            component.len()
+        );
+        assert_eq!(outcome.population_allocations, 0, "batch {step}");
+        assert_eq!(outcome.num_groups, engine.state().groups().len());
+    }
 }

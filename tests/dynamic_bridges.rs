@@ -15,7 +15,9 @@
 //!   clique-plus-noise graphs (edge sets and phase counters);
 //! * the incremental engine replaying *interior* record churn — updates
 //!   whose degraded names retract clique edges so bridges are created by
-//!   deletion — with a warm index, against a one-shot sharded oracle.
+//!   deletion — with a warm index, against a one-shot load after every
+//!   batch and a one-shot sharded oracle at the end; the index must never
+//!   need a heal.
 //!
 //! The offline build has no `proptest`; cases are deterministic seeded
 //! instances with the seed in every assertion message.
@@ -32,6 +34,8 @@ use gralmatch::lm::{
 };
 use gralmatch::records::RecordId;
 use gralmatch::util::{Parallelism, SplitRng};
+
+mod support;
 
 fn sorted_edges(graph: &Graph) -> Vec<Edge> {
     let mut edges: Vec<Edge> = graph.edges().collect();
@@ -184,7 +188,8 @@ fn indexed_cleanup_matches_plain_under_random_churn() {
         for round in 0..4 {
             let mut oracle = graph.clone();
             let oracle_report = graph_cleanup(&mut oracle, &config);
-            let report = graph_cleanup_with_index(&mut graph, &config, &mut index);
+            let components = connected_components(&graph);
+            let report = graph_cleanup_with_index(&mut graph, &components, &config, &mut index);
             assert_eq!(
                 sorted_edges(&graph),
                 sorted_edges(&oracle),
@@ -293,6 +298,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
             final_records[update.id.0 as usize] = update.clone();
         }
         let compiled = scorer_for(&final_records);
+        let scorer = CompiledScorer::new(&matcher, &compiled);
         state
             .apply_with_index(
                 &UpsertBatch {
@@ -301,12 +307,19 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
                     deletes: Vec::new(),
                 },
                 &strategies,
-                &CompiledScorer::new(&matcher, &compiled),
+                &scorer,
                 &pipeline_config,
                 Some(&mut index),
                 Some(&mut blocking),
             )
             .unwrap_or_else(|e| panic!("interior churn batch {batch}: {e:?}"));
+        support::assert_matches_fresh_load(
+            &state,
+            &strategies,
+            &scorer,
+            &pipeline_config,
+            &format!("interior churn batch {batch}"),
+        );
     }
 
     // Final batch: restore every still-degraded record, so the end state
@@ -323,7 +336,8 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
         final_records[update.id.0 as usize] = update.clone();
     }
     let compiled = scorer_for(&final_records);
-    let outcome = state
+    let scorer = CompiledScorer::new(&matcher, &compiled);
+    state
         .apply_with_index(
             &UpsertBatch {
                 inserts: Vec::new(),
@@ -331,13 +345,24 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
                 deletes: Vec::new(),
             },
             &strategies,
-            &CompiledScorer::new(&matcher, &compiled),
+            &scorer,
             &pipeline_config,
             Some(&mut index),
             Some(&mut blocking),
         )
         .unwrap_or_else(|e| panic!("restore batch: {e:?}"));
-    let last_groups = outcome.groups;
+    support::assert_matches_fresh_load(
+        &state,
+        &strategies,
+        &scorer,
+        &pipeline_config,
+        "restore batch",
+    );
+    assert_eq!(
+        index.stats.heals, 0,
+        "every edge mutation was fed, so the index never needed a heal"
+    );
+    let last_groups = state.groups();
 
     let final_domain =
         CompanyDomain::new(&final_records, &no_securities).with_token_config(token_config);

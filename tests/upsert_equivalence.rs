@@ -5,8 +5,9 @@
 //! ∈ {1, 3, 8}, with delete/re-insert churn woven through the replay —
 //! must land on exactly the groups of a one-shot
 //! [`run_sharded`](gralmatch::core::run_sharded) over the final
-//! population. Incrementality is an execution strategy, not a semantics
-//! change. The offline build has no `proptest`, so cases are
+//! population, and after every batch hold exactly the predictions and
+//! cleaned graph of a one-shot load of its live records. Incrementality
+//! is an execution strategy, not a semantics change. The offline build has no `proptest`, so cases are
 //! deterministic seeded instances (the seed is printed in every assertion
 //! message).
 
@@ -18,6 +19,8 @@ use gralmatch::core::{
 use gralmatch::datagen::{generate, FinancialDataset, GenerationConfig};
 use gralmatch::records::{IdCode, IdKind, Record, RecordId, RecordPair, SecurityRecord, SourceId};
 use gralmatch::util::FxHashMap;
+
+mod support;
 
 const BATCH_SPLITS: [usize; 3] = [1, 3, 8];
 
@@ -55,7 +58,8 @@ fn normalize(groups: &[Vec<RecordId>]) -> Vec<Vec<RecordId>> {
 /// replay: batch `j` deletes a small slice of already-loaded records and
 /// the next batch re-inserts it, so every record of the final population
 /// has been through the standing state and some have been retracted and
-/// reconciled twice. Returns the final groups.
+/// reconciled twice. Every batch is checked against a one-shot load of
+/// the live records. Returns the final groups.
 fn replay<R, F>(
     records: &[R],
     strategies: &[Box<dyn Blocker<R> + '_>],
@@ -82,7 +86,6 @@ where
     let remainder = &records[initial..];
     let chunk = remainder.len().div_ceil(k);
     let mut pending: Vec<R> = Vec::new();
-    let mut last_groups = Vec::new();
     for (j, slice) in remainder.chunks(chunk.max(1)).enumerate() {
         // Churn: retract a small slice of the initially loaded records;
         // the next batch brings it back.
@@ -96,17 +99,29 @@ where
             updates: Vec::new(),
             deletes: churn.iter().map(|r| r.id()).collect(),
         };
-        let outcome = state
+        state
             .apply(&batch, strategies, scorer, config)
             .unwrap_or_else(|e| panic!("{}: {e:?}", context(&format!("batch {j}"))));
-        last_groups = outcome.groups;
+        support::assert_matches_fresh_load(
+            &state,
+            strategies,
+            scorer,
+            config,
+            &context(&format!("batch {j}")),
+        );
         pending = churn;
     }
     if !pending.is_empty() {
-        let outcome = state
+        state
             .apply(&UpsertBatch::inserting(pending), strategies, scorer, config)
             .unwrap_or_else(|e| panic!("{}: {e:?}", context("churn restore")));
-        last_groups = outcome.groups;
+        support::assert_matches_fresh_load(
+            &state,
+            strategies,
+            scorer,
+            config,
+            &context("churn restore"),
+        );
     }
     assert_eq!(
         state.num_live(),
@@ -114,7 +129,7 @@ where
         "{}",
         context("replay must end at the full population")
     );
-    last_groups
+    state.groups()
 }
 
 #[test]
@@ -209,7 +224,7 @@ fn delete_heavy_batch_splits_a_bridged_component() {
     let config = PipelineConfig::new(25, 5);
     let strategies = domain.blocking_strategies();
 
-    let (mut state, load) = PipelineState::initial_load(
+    let (mut state, _) = PipelineState::initial_load(
         ShardPlan::new(2),
         records.clone(),
         &strategies,
@@ -219,7 +234,7 @@ fn delete_heavy_batch_splits_a_bridged_component() {
     .unwrap();
     // The flip bridges the two entities into one 4-record component, small
     // enough (≤ μ) to survive the cleanup.
-    assert_eq!(normalize(&load.groups).last().unwrap().len(), 4);
+    assert_eq!(normalize(&state.groups()).last().unwrap().len(), 4);
 
     let outcome = state
         .apply(
@@ -239,7 +254,51 @@ fn delete_heavy_batch_splits_a_bridged_component() {
     );
     assert!(outcome.touched_components >= 1);
     let expected = vec![vec![RecordId(0)], vec![RecordId(2), RecordId(3)]];
-    assert_eq!(normalize(&outcome.groups), expected);
+    assert_eq!(normalize(&state.groups()), expected);
+}
+
+#[test]
+fn a_code_turning_degenerate_retracts_an_untouched_positive() {
+    // s0–s1 share code AAA and match. Inserting more holders of AAA pushes
+    // it past MAX_CODE_HOLDERS, so the join's degeneracy guard drops s0–s1
+    // from the candidate set although neither record changed: the
+    // standing positive must be retracted and its component re-cleaned,
+    // as a one-shot run over all the records never proposes the pair.
+    let holders = gralmatch::blocking::MAX_CODE_HOLDERS as u32 + 1;
+    let records: Vec<SecurityRecord> = (0..holders)
+        .map(|id| security(id, id as u16, if id < 2 { 1 } else { 100 + id }, &["AAA"]))
+        .collect();
+    let group_of: FxHashMap<RecordId, u32> = FxHashMap::default();
+    let domain = SecurityDomain::new(&records, &group_of);
+    let gt = domain.ground_truth().clone();
+    let scorer = OracleScorer::new(&gt);
+    let config = PipelineConfig::new(25, 5);
+    let plan = ShardPlan::new(2);
+    let strategies = domain.blocking_strategies();
+
+    let (mut state, _) =
+        PipelineState::initial_load(plan, records[..2].to_vec(), &strategies, &scorer, &config)
+            .unwrap();
+    assert_eq!(
+        normalize(&state.groups()),
+        vec![vec![RecordId(0), RecordId(1)]]
+    );
+    let outcome = state
+        .apply(
+            &UpsertBatch::inserting(records[2..].to_vec()),
+            &strategies,
+            &scorer,
+            &config,
+        )
+        .unwrap();
+    assert_eq!(outcome.retracted_predictions, 1);
+    support::assert_matches_fresh_load(&state, &strategies, &scorer, &config, "AAA past the cap");
+    let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
+    assert_eq!(
+        normalize(&state.groups()),
+        normalize(&one_shot.outcome.groups)
+    );
+    assert!(state.groups().iter().all(|group| group.len() == 1));
 }
 
 #[test]
@@ -267,9 +326,8 @@ fn delete_heavy_replay_matches_one_shot_over_survivors() {
         .map(|r| r.id)
         .filter(|id| id.0 % 3 == 0)
         .collect();
-    let mut last_groups = Vec::new();
-    for half in doomed.chunks(doomed.len().div_ceil(2)) {
-        let outcome = state
+    for (step, half) in doomed.chunks(doomed.len().div_ceil(2)).enumerate() {
+        state
             .apply(
                 &UpsertBatch {
                     inserts: Vec::new(),
@@ -281,8 +339,15 @@ fn delete_heavy_replay_matches_one_shot_over_survivors() {
                 &config,
             )
             .unwrap();
-        last_groups = outcome.groups;
+        support::assert_matches_fresh_load(
+            &state,
+            &strategies,
+            &scorer,
+            &config,
+            &format!("seed {seed}, delete batch {step}"),
+        );
     }
+    let last_groups = state.groups();
 
     // One-shot over the survivors, re-indexed densely in id order.
     let survivors: Vec<SecurityRecord> = securities
@@ -340,11 +405,11 @@ fn upsert_bridges_components_across_shards() {
     let plan = ShardPlan::new(2).with_key(ShardKey::Source);
     let strategies = domain.blocking_strategies();
 
-    let (mut state, load) =
+    let (mut state, _) =
         PipelineState::initial_load(plan, records[..4].to_vec(), &strategies, &scorer, &config)
             .unwrap();
     assert_eq!(
-        normalize(&load.groups),
+        normalize(&state.groups()),
         vec![
             vec![RecordId(0), RecordId(1)],
             vec![RecordId(2), RecordId(3)],
@@ -365,13 +430,13 @@ fn upsert_bridges_components_across_shards() {
         "the bridge must union previously distinct components"
     );
     assert_eq!(
-        normalize(&outcome.groups),
+        normalize(&state.groups()),
         vec![(0..5).map(RecordId).collect::<Vec<_>>()]
     );
 
     let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
     assert_eq!(
-        normalize(&outcome.groups),
+        normalize(&state.groups()),
         normalize(&one_shot.outcome.groups)
     );
 }

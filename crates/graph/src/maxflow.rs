@@ -1,9 +1,9 @@
 //! Dinic max-flow / min s–t cut on unit-capacity undirected graphs.
 //!
-//! Serves two purposes: (1) the flow-based global-min-cut fallback for
-//! components too large for Stoer–Wagner, and (2) an independent oracle for
-//! property-testing the Stoer–Wagner implementation (their cut weights must
-//! agree).
+//! Serves two purposes: (1) the flow-based global-min-cut kernel for
+//! components above the Stoer–Wagner node limit, and (2) an independent
+//! oracle for property-testing the Stoer–Wagner implementation (their cut
+//! weights must agree).
 //!
 //! Undirected unit edges are modelled as a pair of arcs with capacity 1 each
 //! sharing residuals, the standard reduction (flow pushed one way consumes
@@ -26,6 +26,8 @@ pub struct Dinic {
     head: Vec<Vec<u32>>,
     level: Vec<i32>,
     iter: Vec<usize>,
+    // BFS queue, reused across phases and runs.
+    queue: VecDeque<u32>,
 }
 
 impl Dinic {
@@ -46,20 +48,27 @@ impl Dinic {
             head,
             level: vec![-1; n],
             iter: vec![0; n],
+            queue: VecDeque::new(),
         }
+    }
+
+    /// Undo every flow pushed so far: the network is again as
+    /// [`from_subgraph`](Self::from_subgraph) built it, arcs in the same
+    /// order, so the next run gives what a fresh solver would.
+    pub(crate) fn restore_capacities(&mut self) {
+        self.arcs.iter_mut().for_each(|arc| arc.cap = 1);
     }
 
     fn bfs(&mut self, s: u32, t: u32) -> bool {
         self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = VecDeque::new();
         self.level[s as usize] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
+        self.queue.push_back(s);
+        while let Some(u) = self.queue.pop_front() {
             for &ai in &self.head[u as usize] {
                 let arc = self.arcs[ai as usize];
                 if arc.cap > 0 && self.level[arc.to as usize] < 0 {
                     self.level[arc.to as usize] = self.level[u as usize] + 1;
-                    queue.push_back(arc.to);
+                    self.queue.push_back(arc.to);
                 }
             }
         }

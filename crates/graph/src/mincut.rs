@@ -6,24 +6,46 @@
 //! positive pairwise predictions are usually the only link between two
 //! densely connected groups, so the min cut is exactly those few edges.
 //!
-//! Two implementations:
+//! Two kernels; [`global_min_cut`] runs Stoer–Wagner on components of up to
+//! [`SW_NODE_LIMIT`] nodes and the flow method above it:
 //!
-//! * **Stoer–Wagner** (`stoer_wagner`): exact global min cut in O(n³) with a
-//!   dense merge table. Used for components up to [`SW_NODE_LIMIT`] nodes —
-//!   the regime the cleanup operates in after pre-cleanup.
-//! * **Flow-based** (`global_min_cut_flow`): fixes an arbitrary source and
-//!   runs Dinic min s–t cuts to every other node, with two accelerations:
-//!   early exit when a cut of weight 1 (a bridge) is found (no cut can be
-//!   smaller in a connected graph) and flow capping at the best cut so far.
-//!   Used above the node limit.
+//! * **Stoer–Wagner** ([`stoer_wagner`]): exact global min cut by n − 1
+//!   maximum-adjacency phases over sparse super-node adjacency lists, with
+//!   an indexed max-heap picking the next node. A phase costs
+//!   O((n + m) log n) and a merge touches only the merged nodes'
+//!   neighbours, so a cut costs O(n (n + m) log n) time and O(n + m) memory
+//!   (n nodes, m edges) — against the dense formulation's O(n³) time and
+//!   O(n²) memory.
+//! * **Flow-based** ([`global_min_cut_flow`]): fixes the highest-degree node
+//!   as source and runs capped Dinic min s–t cuts to every other node on one
+//!   reused network, stopping at the first cut of weight 1 (a bridge: no
+//!   connected graph has a smaller one).
 //!
-//! [`global_min_cut`] picks automatically and both agree on the cut weight
-//! (property-tested in `tests/`).
+//! Both return a minimum *weight*, but a component usually has several
+//! minimum cuts and each kernel picks its own, so which edges Algorithm 1
+//! removes is part of each kernel's contract. Stoer–Wagner's choice:
+//!
+//! * every phase starts from the smallest live super-node id;
+//! * each step adds the node with the largest connection to the added set,
+//!   the smallest id among equal connections;
+//! * the last node of a phase merges into the one added before it, and the
+//!   merged node keeps that earlier node's id;
+//! * the earliest phase with the smallest cut-of-the-phase wins, and its side
+//!   is the last node's members, reported as the smaller half (ties keep the
+//!   last node's members).
+//!
+//! This is the decision sequence of the textbook dense O(n³) formulation;
+//! the test suite keeps that dense kernel as the oracle and checks full
+//! [`MinCut`] equality against it. Since the kernels pick different tied
+//! cuts, [`SW_NODE_LIMIT`] chooses which cut a component gets, not only how
+//! fast it is found.
 
 use crate::components::Subgraph;
 use crate::maxflow::Dinic;
 
-/// Stoer–Wagner is cubic; beyond this many nodes the flow-based method wins.
+/// Components of up to this many nodes are cut by [`stoer_wagner`], larger
+/// ones by [`global_min_cut_flow`]. The two pick different cuts among tied
+/// minima, so this constant decides which edges a cleanup removes.
 pub const SW_NODE_LIMIT: usize = 256;
 
 /// Result of a minimum-cut computation on a [`Subgraph`].
@@ -82,72 +104,118 @@ fn finish_cut(sub: &Subgraph, in_side: &[bool], weight: u32) -> MinCut {
 
 /// Stoer–Wagner minimum cut with unit edge weights.
 ///
-/// Classic "minimum cut phase" formulation: repeatedly run maximum adjacency
-/// search, record the cut-of-the-phase (the last added super-node against the
-/// rest), then merge the last two added nodes. The best phase cut is a global
-/// minimum cut. We track which original nodes each super-node contains so the
-/// partition can be reported.
+/// Repeatedly runs a maximum adjacency search, records the cut of the phase
+/// (the last added super-node against the rest), then merges the last two
+/// added nodes; the best phase cut is a global minimum cut. Ties are broken
+/// as the module documentation states.
 pub fn stoer_wagner(sub: &Subgraph) -> MinCut {
+    const NONE: u32 = u32::MAX;
     let n = sub.num_nodes();
     assert!(n >= 2);
-    // Dense weight matrix of the contracted graph.
-    let mut w = vec![0u32; n * n];
+    // adj[v] = (neighbour, weight) of super-node v. A self-loop never
+    // crosses a cut, so it is left out.
+    let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     for &(a, b) in &sub.edges {
-        w[a as usize * n + b as usize] += 1;
-        w[b as usize * n + a as usize] += 1;
+        if a != b {
+            adj[a as usize].push((b, 1));
+            adj[b as usize].push((a, 1));
+        }
     }
-    // merged[v] = original local nodes currently contracted into v.
-    let mut merged: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![v]).collect();
-    let mut active: Vec<usize> = (0..n).collect();
+    // Members of super-node v: v, then next[v], next[next[v]], ... to
+    // tail[v].
+    let mut next = vec![NONE; n];
+    let mut tail: Vec<u32> = (0..n as u32).collect();
+    // Live super-node ids, ascending.
+    let mut live: Vec<u32> = (0..n as u32).collect();
+    let mut key = vec![0u32; n];
+    let mut added = vec![false; n];
+    let mut queue = AdjacencyQueue::new(n);
+    // slot[u] = position of u in the list being folded into, or NONE.
+    let mut slot = vec![NONE; n];
 
     let mut best_weight = u32::MAX;
     let mut best_side: Vec<u32> = Vec::new();
 
-    while active.len() > 1 {
-        // Maximum adjacency search starting from active[0].
-        let m = active.len();
-        let mut in_a = vec![false; m];
-        let mut weights_to_a: Vec<u32> = active.iter().map(|&v| w[active[0] * n + v]).collect();
-        in_a[0] = true;
-        let mut prev = 0usize; // index into `active`
-        let mut last = 0usize;
-        for _ in 1..m {
-            // Pick the unadded node most tightly connected to A.
-            let mut best_i = usize::MAX;
-            let mut best_w = 0u32;
-            for i in 0..m {
-                if !in_a[i] && (best_i == usize::MAX || weights_to_a[i] > best_w) {
-                    best_i = i;
-                    best_w = weights_to_a[i];
-                }
-            }
+    while live.len() > 1 {
+        // Maximum adjacency search from the smallest live id.
+        for &v in &live {
+            key[v as usize] = 0;
+            added[v as usize] = false;
+        }
+        let (mut prev, mut last) = (NONE, NONE);
+        for _ in 0..live.len() {
+            // The queue is empty when the phase starts, and later only when
+            // nothing unadded touches the added set (disconnected input):
+            // then take the smallest unadded id.
+            let pick = match queue.pop(&key) {
+                Some(v) => v,
+                None => *live
+                    .iter()
+                    .find(|&&v| !added[v as usize])
+                    .expect("a phase adds every live node"),
+            };
             prev = last;
-            last = best_i;
-            in_a[best_i] = true;
-            let v_last = active[best_i];
-            for i in 0..m {
-                if !in_a[i] {
-                    weights_to_a[i] += w[v_last * n + active[i]];
+            last = pick;
+            added[pick as usize] = true;
+            for &(u, w) in &adj[pick as usize] {
+                if !added[u as usize] {
+                    key[u as usize] += w;
+                    queue.raise(&key, u);
                 }
             }
         }
-        // Cut of the phase: super-node `last` vs the rest.
-        let phase_weight = weights_to_a[last];
+        // Cut of the phase: super-node `last` against the rest.
+        let phase_weight = key[last as usize];
         if phase_weight < best_weight {
             best_weight = phase_weight;
-            best_side = merged[active[last]].clone();
+            best_side.clear();
+            let mut member = last;
+            while member != NONE {
+                best_side.push(member);
+                member = next[member as usize];
+            }
         }
-        // Merge `last` into `prev`.
-        let (v_prev, v_last) = (active[prev], active[last]);
-        let moved = std::mem::take(&mut merged[v_last]);
-        merged[v_prev].extend(moved);
-        for &u in active.iter().take(m) {
-            let add = w[v_last * n + u];
-            w[v_prev * n + u] += add;
-            w[u * n + v_prev] += add;
+
+        // Merge `last` into `prev`: fold the member lists, then the edges.
+        let (p, l) = (prev as usize, last as usize);
+        next[tail[p] as usize] = last;
+        tail[p] = tail[l];
+        let folded = std::mem::take(&mut adj[l]);
+        adj[p].retain(|&(u, _)| u != last);
+        for (at, &(u, _)) in adj[p].iter().enumerate() {
+            slot[u as usize] = at as u32;
         }
-        w[v_prev * n + v_prev] = 0;
-        active.remove(last);
+        for &(u, w) in &folded {
+            if u == prev {
+                continue;
+            }
+            let to_last = adj[u as usize]
+                .iter()
+                .position(|&(x, _)| x == last)
+                .expect("adjacency is symmetric");
+            match slot[u as usize] {
+                NONE => {
+                    adj[u as usize][to_last].0 = prev;
+                    slot[u as usize] = adj[p].len() as u32;
+                    adj[p].push((u, w));
+                }
+                at => {
+                    adj[p][at as usize].1 += w;
+                    let theirs = &mut adj[u as usize];
+                    theirs.swap_remove(to_last);
+                    let to_prev = theirs
+                        .iter()
+                        .position(|&(x, _)| x == prev)
+                        .expect("adjacency is symmetric");
+                    theirs[to_prev].1 += w;
+                }
+            }
+        }
+        for &(u, _) in &adj[p] {
+            slot[u as usize] = NONE;
+        }
+        let at = live.binary_search(&last).expect("last is live");
+        live.remove(at);
     }
 
     let mut in_side = vec![false; n];
@@ -157,11 +225,89 @@ pub fn stoer_wagner(sub: &Subgraph) -> MinCut {
     finish_cut(sub, &in_side, best_weight)
 }
 
+/// The unadded super-nodes of a maximum adjacency search with a positive
+/// key, as a binary max-heap ordered by key and then by smallest id, with
+/// each node's heap position so a growing key moves up in place.
+struct AdjacencyQueue {
+    heap: Vec<u32>,
+    /// Node → index in `heap`, or `u32::MAX` when not queued.
+    pos: Vec<u32>,
+}
+
+impl AdjacencyQueue {
+    fn new(n: usize) -> Self {
+        AdjacencyQueue {
+            heap: Vec::with_capacity(n),
+            pos: vec![u32::MAX; n],
+        }
+    }
+
+    /// Whether `a` comes before `b`: larger key, then smaller id.
+    fn before(key: &[u32], a: u32, b: u32) -> bool {
+        let (ka, kb) = (key[a as usize], key[b as usize]);
+        ka > kb || (ka == kb && a < b)
+    }
+
+    fn place(&mut self, at: usize, v: u32) {
+        self.heap[at] = v;
+        self.pos[v as usize] = at as u32;
+    }
+
+    /// `v`'s key grew: queue it, or move it up.
+    fn raise(&mut self, key: &[u32], v: u32) {
+        let mut at = match self.pos[v as usize] {
+            u32::MAX => {
+                self.heap.push(v);
+                self.heap.len() - 1
+            }
+            at => at as usize,
+        };
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !Self::before(key, v, self.heap[parent]) {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, v);
+    }
+
+    /// Remove and return the first node.
+    fn pop(&mut self, key: &[u32]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        self.pos[top as usize] = u32::MAX;
+        let moved = self.heap.pop().expect("non-empty");
+        if self.heap.is_empty() {
+            return Some(top);
+        }
+        let len = self.heap.len();
+        let mut at = 0;
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && Self::before(key, self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            if !Self::before(key, self.heap[child], moved) {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, moved);
+        Some(top)
+    }
+}
+
 /// Flow-based global min cut: min over t of min-cut(s, t) for a fixed s.
 ///
 /// Correct because any global cut separates s from *some* t. Early exits on a
 /// weight-1 cut (optimal in a connected graph) and caps each Dinic run at the
 /// best weight so far (a run reaching the cap cannot improve the answer).
+/// One network serves every sink: its capacities are restored between runs.
 pub fn global_min_cut_flow(sub: &Subgraph) -> MinCut {
     let n = sub.num_nodes();
     assert!(n >= 2);
@@ -172,12 +318,13 @@ pub fn global_min_cut_flow(sub: &Subgraph) -> MinCut {
         .expect("non-empty subgraph") as u32;
 
     let mut best: Option<MinCut> = None;
+    let mut dinic = Dinic::from_subgraph(sub);
     for t in 0..n as u32 {
         if t == s {
             continue;
         }
         let cap = best.as_ref().map_or(u32::MAX, |b| b.weight);
-        let mut dinic = Dinic::from_subgraph(sub);
+        dinic.restore_capacities();
         let flow = dinic.max_flow_capped(s, t, cap);
         if flow >= cap {
             continue; // cannot improve

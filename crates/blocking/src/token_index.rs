@@ -129,8 +129,6 @@ pub(crate) struct TokenOverlapIndex {
     picks: ListArena,
     /// Slots of removed records, reusable from the next batch on.
     free: Vec<u32>,
-    /// Slot → in this batch's affected set; all false between batches.
-    marked: Vec<bool>,
     num_pairs: usize,
 }
 
@@ -146,7 +144,6 @@ impl TokenOverlapIndex {
             tokens: ListArena::default(),
             picks: ListArena::default(),
             free: Vec::new(),
-            marked: Vec::new(),
             num_pairs: 0,
         }
     }
@@ -308,8 +305,7 @@ impl<R: Record + Sync> ShardIndex<R> for TokenOverlapIndex {
         let df_before = edits.df_before;
 
         // -- 2. The affected set. ------------------------------------------
-        let mut marked = std::mem::take(&mut self.marked);
-        marked.resize(self.ids.len(), false);
+        let mut marked = vec![false; self.ids.len()];
         let mut affected: Vec<u32> = Vec::new();
         let mut mark = |slot: u32| {
             if !std::mem::replace(&mut marked[slot as usize], true) {
@@ -326,10 +322,6 @@ impl<R: Record + Sync> ShardIndex<R> for TokenOverlapIndex {
                 holders.iter().copied().for_each(&mut mark);
             }
         }
-        for &slot in &affected {
-            marked[slot as usize] = false;
-        }
-        self.marked = marked;
 
         // -- 3. One recompute pass, then the pair delta. --------------------
         // The pool is sized by the batch, not by the affected set: a delta

@@ -112,14 +112,12 @@ pub fn stoer_wagner(sub: &Subgraph) -> MinCut {
     const NONE: u32 = u32::MAX;
     let n = sub.num_nodes();
     assert!(n >= 2);
-    // adj[v] = (neighbour, weight) of super-node v. A self-loop never
-    // crosses a cut, so it is left out.
+    // adj[v] = (neighbour, weight) of super-node v.
     let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     for &(a, b) in &sub.edges {
-        if a != b {
-            adj[a as usize].push((b, 1));
-            adj[b as usize].push((a, 1));
-        }
+        debug_assert_ne!(a, b, "a subgraph has no self-loops");
+        adj[a as usize].push((b, 1));
+        adj[b as usize].push((a, 1));
     }
     // Members of super-node v: v, then next[v], next[next[v]], ... to
     // tail[v].

@@ -29,6 +29,10 @@
 //! reader to free it, the first lookup after every publish would pay for
 //! dropping a whole snapshot's worth of changed buckets — hundreds of
 //! microseconds, on the read path, for the writer's garbage.
+//!
+//! The price is that a released value lives until the next publish: an
+//! engine that goes idle after a write keeps every superseded value
+//! alive that a reader still held at that write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,7 +60,8 @@ impl<T> Published<T> {
 
     /// Swap in a new value and bump the version. Readers holding the old
     /// `Arc` keep it alive; new loads see `value`. Frees, on the calling
-    /// thread, every superseded value no reader holds any more.
+    /// thread, every superseded value no reader holds any more; one that a
+    /// reader releases later waits for the next publish.
     pub fn publish(&self, value: Arc<T>) {
         let superseded = {
             let mut slot = self.current.lock().expect("publish mutex poisoned");
@@ -202,6 +207,8 @@ mod tests {
         // Still held by the reader: kept until it lets go.
         assert_eq!(slot.retired.lock().unwrap().len(), 1);
         drop(reader);
+        // Released, but freed only by the next publish.
+        assert_eq!(drops.lock().unwrap().len(), 1);
         slot.publish(Arc::new(DropWitness(drops.clone())));
         assert_eq!(drops.lock().unwrap().len(), 2);
     }

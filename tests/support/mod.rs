@@ -1,6 +1,4 @@
 //! Checks and oracles shared by the integration suites (`mod support;`).
-// Each suite uses only part of this module.
-#![allow(dead_code)]
 
 use gralmatch::blocking::Blocker;
 use gralmatch::core::{PipelineConfig, PipelineState};
@@ -8,6 +6,7 @@ use gralmatch::graph::{Dinic, Edge, Graph, MinCut, Subgraph};
 use gralmatch::lm::PairScorer;
 use gralmatch::records::Record;
 
+#[allow(dead_code)] // not used by every suite
 fn sorted_edges(graph: &Graph) -> Vec<Edge> {
     let mut edges: Vec<Edge> = graph.edges().collect();
     edges.sort_unstable();
@@ -20,6 +19,7 @@ fn sorted_edges(graph: &Graph) -> Vec<Edge> {
 /// against an empty state, where every component is cleaned from
 /// scratch). Comparing only the groups at the end of a replay would miss
 /// a divergence that a later batch happens to repair.
+#[allow(dead_code)] // not used by every suite
 pub fn assert_matches_fresh_load<R: Record + Clone + Sync>(
     state: &PipelineState<R>,
     strategies: &[Box<dyn Blocker<R> + '_>],
@@ -49,6 +49,7 @@ pub fn assert_matches_fresh_load<R: Record + Clone + Sync>(
 
 /// Derive the cut edge set and normalized (smaller) side from a side
 /// marker, as the shipped kernels report a cut.
+#[allow(dead_code)] // not used by every suite
 fn finish_cut(sub: &Subgraph, in_side: &[bool], weight: u32) -> MinCut {
     let n = sub.num_nodes();
     let side_count = in_side.iter().filter(|&&b| b).count();
@@ -84,6 +85,7 @@ fn finish_cut(sub: &Subgraph, in_side: &[bool], weight: u32) -> MinCut {
 /// rest), then merge the last two added nodes. The best phase cut is a global
 /// minimum cut. We track which original nodes each super-node contains so the
 /// partition can be reported.
+#[allow(dead_code)] // not used by every suite
 pub fn dense_stoer_wagner(sub: &Subgraph) -> MinCut {
     let n = sub.num_nodes();
     assert!(n >= 2);
@@ -157,6 +159,7 @@ pub fn dense_stoer_wagner(sub: &Subgraph) -> MinCut {
 /// Oracle for `mincut::global_min_cut_flow`: the same search (highest-degree
 /// source, capped flows to every sink, stop at a bridge) with a freshly
 /// built network for every sink.
+#[allow(dead_code)] // not used by every suite
 pub fn fresh_network_flow_cut(sub: &Subgraph) -> MinCut {
     let n = sub.num_nodes();
     assert!(n >= 2);
